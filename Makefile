@@ -1,10 +1,11 @@
 # Build, verify and bench targets. `make ci` is what the GitHub Actions
-# workflow runs on every push: formatting, vet, build, and the full test
-# suite under the race detector.
+# workflow runs on every push: formatting, vet, build, the full test suite
+# under the race detector, the chaos suite, one iteration of every benchmark
+# and the bench-smoke figures.
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check bench bench-smoke chaos fuzz ci
+.PHONY: all build test race vet fmt-check bench bench-1x bench-smoke chaos fuzz ci
 
 all: build
 
@@ -33,6 +34,13 @@ bench:
 	$(GO) test ./internal/relational/ -run XXX -bench . -benchmem
 	$(GO) run ./cmd/benchharness -fig A9
 
+# One iteration of every Benchmark* in the module, so a benchmark whose
+# setup or invariant has rotted fails CI instead of waiting for someone to
+# run it. This includes the relational *Interpreted/*Compiled pairs
+# (compiled executor against the test-only interpreted oracle).
+bench-1x:
+	$(GO) test -run XXX -bench . -benchtime 1x ./...
+
 # Fuzz the tokenizer against the old slice-building lexer for a short burst
 # (seeds under internal/relational/testdata/fuzz are always replayed by
 # plain `go test`).
@@ -42,17 +50,16 @@ fuzz:
 # Smoke run for the concurrency/reuse/durability layers: regenerates the A5
 # table (concurrent DAG scheduler fan-out speedup + multi-session
 # throughput), the A6 table (step-result memoization: repeated-ask speedup,
-# cross-session single-flight dedup, invalidation), the A7 table (relational
-# plan compiler: compiled-vs-interpreted scan/join/group-by) and the A8
-# table (durability: crash replay vs snapshot restore, warm memo across
-# restart) in short mode. A6 and A8 enforce their own invariants — a warm
-# run that re-executes (hit-rate collapse), a concurrent identical workload
-# that does not coalesce (dedup loss), a crash restart that loses rows, or a
-# restarted process whose repeated ask misses memo (warm-memo loss) makes
-# the run fail; A7's >= 2x speedup/allocs floors and A8's >= 5x
-# snapshot-vs-replay floor are enforced in full mode and reported here, as
-# are A9's shape-cache floors (>= 90% hit rate, >= 3x over exact keying on
-# literal-inlined statements) and A10's telemetry overhead ceiling
+# cross-session single-flight dedup, invalidation) and the A8 table
+# (durability: crash replay vs snapshot restore, warm memo across restart)
+# in short mode. A6 and A8 enforce their own invariants — a warm run that
+# re-executes (hit-rate collapse), a concurrent identical workload that does
+# not coalesce (dedup loss), a crash restart that loses rows, or a restarted
+# process whose repeated ask misses memo (warm-memo loss) makes the run
+# fail; A8's >= 5x snapshot-vs-replay floor is enforced in full mode and
+# reported here, as are A9's shape-cache floors (>= 90% hit rate, >= 3x
+# over exact keying on literal-inlined statements) and A10's telemetry
+# overhead ceiling
 # (instrumented asks within 5% of uninstrumented, full mode; the >= 4
 # span-component floor is enforced in every mode). A11 drives governed asks
 # with an open-loop multi-tenant workload at 0.5x and 2x admission capacity
@@ -69,7 +76,6 @@ fuzz:
 bench-smoke:
 	$(GO) run ./cmd/benchharness -fig A5 -short -json bench
 	$(GO) run ./cmd/benchharness -fig A6 -short -json bench
-	$(GO) run ./cmd/benchharness -fig A7 -short -json bench
 	$(GO) run ./cmd/benchharness -fig A8 -short -json bench
 	$(GO) run ./cmd/benchharness -fig A9 -short -json bench
 	$(GO) run ./cmd/benchharness -fig A10 -short -json bench
@@ -85,4 +91,4 @@ bench-smoke:
 chaos:
 	$(GO) test -race -run Chaos ./...
 
-ci: fmt-check vet build race chaos bench-smoke
+ci: fmt-check vet build race chaos bench-1x bench-smoke

@@ -337,10 +337,11 @@ func BenchmarkAblation_MultiSessionAsk(b *testing.B) {
 }
 
 // BenchmarkAblation_MemoColdVsWarmAsk measures a repeated utterance's plan
-// execution when every step is served from the step-result memoization
-// cache (the A6 warm path): the first execution warms the cache, each
-// iteration then re-plans and executes at the residual cost (the criteria
-// transform) with all plan steps hitting memo.
+// execution on the step-result memoization warm path (A6): the first
+// execution warms the cache, each iteration then re-plans and executes at
+// the residual cost (the criteria transform) with every step whose agent is
+// registered Cacheable hitting memo. Uncacheable agents (Profiler, whose
+// form display is a side effect) execute every time.
 func BenchmarkAblation_MemoColdVsWarmAsk(b *testing.B) {
 	sys, s := benchSystem(b)
 	const utterance = "find me a data scientist job in san francisco"
@@ -353,8 +354,18 @@ func BenchmarkAblation_MemoColdVsWarmAsk(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Budget.MemoHits != len(res.Steps) {
-			b.Fatalf("memo hits = %d of %d steps", res.Budget.MemoHits, len(res.Steps))
+		cacheable := 0
+		for _, st := range res.Steps {
+			spec, err := sys.AgentRegistry.Get(st.Agent)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if spec.Cacheable {
+				cacheable++
+			}
+		}
+		if cacheable == 0 || res.Budget.MemoHits != cacheable {
+			b.Fatalf("memo hits = %d, want one per cacheable step (%d of %d steps)", res.Budget.MemoHits, cacheable, len(res.Steps))
 		}
 	}
 	b.StopTimer()

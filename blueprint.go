@@ -4,7 +4,7 @@
 // among agents, agent and data registries mapping enterprise models and
 // sources, task and data planners, a budget-aware task coordinator, and a
 // multi-objective optimizer — together with an embedded enterprise substrate
-// (relational engine, document store, graph store, KV store, simulated LLM)
+// (relational engine, document store, graph store, simulated LLM)
 // and the paper's HR case study (Agentic Employer, Career Assistant).
 //
 // The System type wires everything; Session provides the conversational
@@ -28,7 +28,8 @@
 // resident), so no stale plan survives a schema change.
 //
 // Beyond parse amortization, SELECT/UPDATE/DELETE are compiled at prepare
-// time (internal/relational/compile.go): every column reference is resolved
+// time (internal/relational/compile.go), and the compiled program is the
+// engine's only executor for them: every column reference is resolved
 // to a positional offset once and the expression trees are lowered into
 // closures, so per-row evaluation does no string matching and no AST
 // dispatch; hash joins, GROUP BY, DISTINCT and COUNT(DISTINCT) key their
@@ -36,14 +37,15 @@
 // runs through a bounded top-k heap. Compiled plans ride on *Stmt handles
 // and in the statement cache, invalidated per table by schema versions
 // (CREATE/DROP TABLE recompiles; CREATE INDEX is picked up by the runtime
-// access-path planner without recompiling). Effectiveness is observable:
-// DB.CacheStats reports hits, misses, evictions, invalidations, plan
-// compiles and the hit rate; `go run ./cmd/benchharness -fig A4` prints the
-// cached versus re-parse throughput of the agent-suite query mix, and
-// `-fig A7` the compiled-versus-interpreted ablation (filtered scan, 3-way
-// join, GROUP BY). The relational benchmarks (`make bench`,
+// access-path planner without recompiling). An interpreted evaluator lives
+// only in the package's tests, as the differential oracle. Effectiveness is
+// observable: DB.CacheStats reports hits, misses, evictions, invalidations,
+// plan compiles and the hit rate; `go run ./cmd/benchharness -fig A4`
+// prints the cached versus re-parse throughput of the agent-suite query
+// mix. The relational benchmarks (`make bench`,
 // BenchmarkPointQueryUncached/Cached/Prepared and the
-// *Interpreted/*Compiled pairs) measure the same effects per query.
+// *Interpreted/*Compiled pairs against the test oracle) measure the same
+// effects per query.
 //
 // # Step-result memoization
 //

@@ -2,6 +2,7 @@ package blueprint
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -61,6 +62,34 @@ func TestFig1ArchitectureWiring(t *testing.T) {
 	for _, want := range []string{"user", hragents.IntentClassifier, hragents.AgenticEmployer, hragents.NL2Q, hragents.SQLExecutor, hragents.QuerySummarizer} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("flow missing %s: %v", want, senders)
+		}
+	}
+}
+
+// TestOpenQueryCountsNamedTable: the answer to a count question over a
+// named table is that table's count, even where the registry's embedding
+// search ranks another table's metadata higher for the question.
+func TestOpenQueryCountsNamedTable(t *testing.T) {
+	sys := newSystem(t)
+	for q, sql := range map[string]string{
+		"How many jobs are in San Jose?":   `SELECT COUNT(*) FROM jobs WHERE city = 'San Jose'`,
+		"How many applications are there?": `SELECT COUNT(*) FROM applications`,
+	} {
+		s, err := sys.StartSession("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := s.Ask(q, 10*time.Second)
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Enterprise.DB.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("n: %d.", res.Rows[0][0].I); !strings.Contains(out, want) {
+			t.Fatalf("%q answered %q, want %q (%s)", q, out, want, sql)
 		}
 	}
 }

@@ -85,7 +85,6 @@ func All(seed int64) ([]*Table, error) {
 		{"A4", AblationPlanCache},
 		{"A5", AblationScheduler},
 		{"A6", AblationMemo},
-		{"A7", AblationCompile},
 		{"A8", AblationDurability},
 		{"A9", FrontendShapeCache},
 		{"A10", AblationObservability},

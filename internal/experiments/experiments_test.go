@@ -18,8 +18,8 @@ func TestAllExperimentsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 22 {
-		t.Fatalf("tables = %d, want 22", len(tables))
+	if len(tables) != 21 {
+		t.Fatalf("tables = %d, want 21", len(tables))
 	}
 	byID := map[string]*Table{}
 	for _, tb := range tables {
@@ -164,27 +164,6 @@ func TestAllExperimentsRun(t *testing.T) {
 	}
 	if a6["after source invalidation"]["reexecuted"] != "1/3" {
 		t.Errorf("A6 invalidation row = %v", a6["after source invalidation"])
-	}
-
-	// A7: the compiled-vs-interpreted floors (>= 2x and an allocs/op drop
-	// on the filtered-scan and GROUP BY paths) are enforced inside the
-	// experiment itself in full mode — a regression fails All above. Here,
-	// spot-check the reported rows: every workload must have run and the
-	// compiled plan cache must have compiled at least the three statements.
-	a7 := map[string]map[string]string{}
-	for _, r := range byID["A7"].Rows {
-		a7[r.Series] = map[string]string{}
-		for _, m := range r.Metrics {
-			a7[r.Series][m.Name] = m.Value
-		}
-	}
-	for _, series := range []string{"filtered scan (wide)", "3-way join", "group by (2 keys, 4 aggs)"} {
-		if a7[series]["speedup"] == "" {
-			t.Errorf("A7 missing speedup for %s: %v", series, a7[series])
-		}
-	}
-	if a7["plan cache"]["compiles"] == "" || a7["plan cache"]["compiles"] == "0" {
-		t.Errorf("A7 plan cache row = %v", a7["plan cache"])
 	}
 
 	// A10: the <= 5% telemetry overhead ceiling and the >= 4 span-component

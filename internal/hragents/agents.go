@@ -3,8 +3,10 @@ package hragents
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"unicode"
 
 	"blueprint/internal/agent"
 	"blueprint/internal/dataplan"
@@ -225,17 +227,52 @@ func (s *Suite) nl2qProc() agent.Processor {
 	}
 }
 
-// discoverTable picks the relational table whose registry metadata best
-// matches the question, defaulting to jobs.
+// discoverTable picks the relational table a question is about. A table the
+// question names outranks embedding similarity, which can favour a table
+// whose metadata merely shares words with the question ("How many jobs are
+// in San Jose?" scores applications above jobs). Among several named
+// tables, or when none is named, the registry's best relational match wins;
+// the default is jobs.
 func (s *Suite) discoverTable(q string) string {
-	hits := s.DataReg.Discover(q, 5)
-	for _, h := range hits {
-		if h.Asset.Level == registry.LevelTable && h.Asset.Kind == registry.KindRelational {
-			parts := strings.Split(h.Asset.Name, ".")
-			return parts[len(parts)-1]
+	words := strings.FieldsFunc(strings.ToLower(q), func(r rune) bool { return !unicode.IsLetter(r) })
+	var named []string
+	for _, a := range s.DataReg.List(registry.LevelTable, registry.KindRelational) {
+		if t := tableOf(a); namesTable(words, t) {
+			named = append(named, t)
 		}
 	}
+	if len(named) == 1 {
+		return named[0]
+	}
+	for _, h := range s.DataReg.Discover(q, 5) {
+		if h.Asset.Level == registry.LevelTable && h.Asset.Kind == registry.KindRelational {
+			if t := tableOf(h.Asset); len(named) == 0 || slices.Contains(named, t) {
+				return t
+			}
+		}
+	}
+	if len(named) > 0 {
+		return named[0]
+	}
 	return "jobs"
+}
+
+// tableOf returns the table name of a relational table asset ("hr.jobs" ->
+// "jobs").
+func tableOf(a registry.DataAsset) string {
+	return a.Name[strings.LastIndexByte(a.Name, '.')+1:]
+}
+
+// namesTable reports whether one of the question's words is the table's
+// name or its singular ("jobs"/"job", "companies"/"company").
+func namesTable(words []string, table string) bool {
+	for _, w := range words {
+		if w == table || w+"s" == table ||
+			(strings.HasSuffix(table, "ies") && w == strings.TrimSuffix(table, "ies")+"y") {
+			return true
+		}
+	}
+	return false
 }
 
 // ---------------------------------------------------------------- SQLExecutor

@@ -275,6 +275,19 @@ func TestDiscoverTable(t *testing.T) {
 	if got := a.suite.discoverTable("count applications with status interview"); got != "applications" {
 		t.Fatalf("applications discovery = %s", got)
 	}
+	// A named table outranks similarity: applications' metadata scores
+	// higher on this question, but the question names jobs.
+	for q, want := range map[string]string{
+		"How many jobs are in San Jose?":                 "jobs",
+		"How many applications are there in San Jose?":   "applications",
+		"how many companies are large":                   "companies",
+		"list every company":                             "companies",
+		"average salary per city for salary over 120000": "jobs",
+	} {
+		if got := a.suite.discoverTable(q); got != want {
+			t.Errorf("discoverTable(%q) = %s, want %s", q, got, want)
+		}
+	}
 }
 
 func TestSpecsCompleteAndRegistered(t *testing.T) {

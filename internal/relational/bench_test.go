@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-func benchDB(b *testing.B, rows int, withIndex bool) *DB {
+func benchDB(b testing.TB, rows int, withIndex bool) *DB {
 	b.Helper()
 	db := NewDB()
 	if _, err := db.Exec(`CREATE TABLE jobs (id INT, title TEXT, city TEXT, salary INT)`); err != nil {
@@ -189,10 +189,11 @@ func BenchmarkParseSelect(b *testing.B) {
 // ---- compiled vs interpreted executor benchmarks ----
 //
 // The same statements, same data, same statement cache — the only variable
-// is SetCompileEnabled, so the delta is the cost of per-row column
-// resolution, AST dispatch and stringly hash keys that prepare-time
-// compilation removes. Run with -benchmem: the compiled variants should
-// show both lower ns/op and lower allocs/op.
+// is the executor (DB.Query against the test-only interpreted oracle), so
+// the delta is the cost of per-row column resolution, AST dispatch and
+// intermediate slices that prepare-time compilation removes. Run with
+// -benchmem: the compiled variants should show both lower ns/op and lower
+// allocs/op (TestCompiledAllocsBelowOracle pins the allocs/op half).
 
 const benchFilteredScan = `SELECT id, title, salary FROM jobs WHERE id >= ? AND title LIKE '%engineer%'`
 const benchGroupBy = `SELECT city, COUNT(*) AS n, AVG(salary) AS avg_sal FROM jobs GROUP BY city`
@@ -200,12 +201,42 @@ const benchGroupBy = `SELECT city, COUNT(*) AS n, AVG(salary) AS avg_sal FROM jo
 func benchSelect(b *testing.B, sql string, compiled bool, args ...any) {
 	b.Helper()
 	db := benchDB(b, 5000, false)
-	db.SetCompileEnabled(compiled)
+	run := db.queryOracle
+	if compiled {
+		run = db.Query
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(sql, args...); err != nil {
+		if _, err := run(sql, args...); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestCompiledAllocsBelowOracle is the deterministic floor of the pairs
+// below: on the filtered-scan and GROUP BY shapes the compiled executor
+// allocates less per query than the interpreted oracle.
+func TestCompiledAllocsBelowOracle(t *testing.T) {
+	db := benchDB(t, 1000, false)
+	for _, c := range []struct {
+		sql  string
+		args []any
+	}{
+		{benchFilteredScan, []any{500}},
+		{benchGroupBy, nil},
+	} {
+		allocs := func(run func(string, ...any) (*Result, error)) float64 {
+			return testing.AllocsPerRun(20, func() {
+				if _, err := run(c.sql, c.args...); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		compiled, oracle := allocs(db.Query), allocs(db.queryOracle)
+		t.Logf("%s: compiled %.0f allocs/op, oracle %.0f", c.sql, compiled, oracle)
+		if compiled >= oracle {
+			t.Errorf("%s: compiled %.0f allocs/op, want below the oracle's %.0f", c.sql, compiled, oracle)
 		}
 	}
 }
@@ -250,11 +281,10 @@ const benchJoin3 = `SELECT j.title, c.name, r.region FROM jobs j JOIN companies 
 
 func BenchmarkJoin3WayInterpreted(b *testing.B) {
 	db := benchJoin3DB(b)
-	db.SetCompileEnabled(false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(benchJoin3, 100000); err != nil {
+		if _, err := db.queryOracle(benchJoin3, 100000); err != nil {
 			b.Fatal(err)
 		}
 	}

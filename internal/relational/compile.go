@@ -10,24 +10,24 @@ import (
 	"blueprint/internal/topk"
 )
 
-// This file implements the prepare-time compiler for SELECT/UPDATE/DELETE.
+// This file implements the prepare-time compiler for SELECT/UPDATE/DELETE,
+// the engine's only executor for those statements.
 //
-// The interpreted executor (select.go, dml.go) re-resolves every column
-// reference by a linear lowercase string scan per row per expression and
-// re-dispatches on the AST node type for every evaluation. The compiler does
-// that work exactly once per (statement, schema) pair: each ColumnRef is
-// resolved to a positional offset and the expression tree is lowered into a
-// closure of type compiledExpr, so per-row evaluation touches no strings and
-// no type switches. Compiled plans are cached on *Stmt handles and in the
-// statement cache (see planSlot in stmt.go) and invalidated per table by a
-// schema version counter bumped on CREATE/DROP TABLE.
+// compileStmt does the per-statement work exactly once per (statement,
+// schema) pair: each ColumnRef is resolved to a positional offset and the
+// expression tree is lowered into a closure of type compiledExpr, so
+// per-row evaluation touches no strings and no type switches. Compiled
+// plans are cached on *Stmt handles and in the statement cache (see
+// planSlot in stmt.go) and invalidated per table by a schema version
+// counter bumped on CREATE/DROP TABLE.
 //
-// Statement shapes whose interpreted semantics depend on runtime row counts
-// (lazy resolution errors over empty inputs, the DISTINCT/ORDER BY row-count
-// quirk, SELECT * with aggregates) are not compiled: compileStmt marks them
-// fallback and execution uses the interpreted path, which stays the semantic
-// oracle — the differential tests in differential_test.go assert both paths
-// agree on the full property corpus.
+// Compilation is total. A statement that names a missing table or fails a
+// static check compiles to a program holding the error; a reference that
+// does not resolve compiles to a closure raising the resolution error
+// lazily, on the rows that evaluate it, so a query over zero rows still
+// succeeds. The interpreted evaluator in oracle_test.go defines these
+// semantics: the differential tests in differential_test.go assert both
+// executors agree on columns, rows, plans and error text.
 
 // compiledExpr evaluates one scalar expression against a row with all column
 // references pre-resolved to positional offsets.
@@ -37,14 +37,6 @@ type compiledExpr func(row Row, params []Value) (Value, error)
 // the rows of one group.
 type compiledAggExpr func(rows []Row, params []Value) (Value, error)
 
-// errStalePlan signals that a compiled plan no longer matches the live
-// schema (DDL raced the execution); the router recompiles and retries.
-var errStalePlan = errors.New("relational: stale compiled plan")
-
-// errUncompilable marks statement shapes the compiler deliberately refuses
-// (they fall back to the interpreted oracle).
-var errUncompilable = errors.New("relational: statement not compilable")
-
 // tableDep records the schema version of one referenced table at compile
 // time. Versions bump on CREATE/DROP TABLE, so a dependency mismatch means
 // the table was dropped or recreated and every resolved offset is suspect.
@@ -53,14 +45,17 @@ type tableDep struct {
 	ver   uint64
 }
 
-// compiledStmt is one compilation of a statement: either a runnable program
-// or a fallback marker, plus the schema versions it was compiled against.
+// compiledStmt is one compilation of a statement against the catalog
+// recorded in deps and restores: a runnable program, or the static error
+// the statement raises against that schema (missing table, unknown SET
+// target, ...).
 type compiledStmt struct {
 	deps     []tableDep
+	restores uint64
 	sel      *selectProgram
 	upd      *updateProgram
 	del      *deleteProgram
-	fallback bool
+	err      error
 }
 
 // planSlot holds the current compilation of one statement. A slot is shared
@@ -72,17 +67,15 @@ type planSlot struct {
 	p atomic.Pointer[compiledStmt]
 }
 
-// SetCompileEnabled toggles the compiled execution path. Disabling it forces
-// every SELECT/UPDATE/DELETE through the interpreted evaluator — used by the
-// A7 ablation and the differential tests; production leaves it on.
-func (db *DB) SetCompileEnabled(enabled bool) { db.noCompile.Store(!enabled) }
-
-// depsValid reports whether every table version recorded at compile time is
-// still current.
-func (db *DB) depsValid(deps []tableDep) bool {
+// depsValid reports whether the catalog and every table version recorded
+// at compile time are still current.
+func (db *DB) depsValid(cs *compiledStmt) bool {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	for _, d := range deps {
+	if db.restores != cs.restores {
+		return false
+	}
+	for _, d := range cs.deps {
 		if db.vers[d.table] != d.ver {
 			return false
 		}
@@ -90,132 +83,59 @@ func (db *DB) depsValid(deps []tableDep) bool {
 	return true
 }
 
-// captureDeps snapshots the schema versions of the given (lowercased) tables.
-func (db *DB) captureDeps(tables []string) []tableDep {
+// captureDeps records the catalog and the schema versions of the given
+// (lowercased) tables.
+func (db *DB) captureDeps(cs *compiledStmt, tables []string) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	deps := make([]tableDep, len(tables))
+	cs.restores = db.restores
+	cs.deps = make([]tableDep, len(tables))
 	for i, t := range tables {
-		deps[i] = tableDep{table: t, ver: db.vers[t]}
+		cs.deps[i] = tableDep{table: t, ver: db.vers[t]}
 	}
-	return deps
-}
-
-// tableVer returns the live table and its current schema version.
-func (db *DB) tableVer(name string) (*table, uint64, error) {
-	key := strings.ToLower(name)
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, ok := db.tables[key]
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: %s", ErrTableNotFound, name)
-	}
-	return t, db.vers[key], nil
 }
 
 // planFor returns the slot's current compilation, recompiling if absent or
-// stale. Racing recompiles are harmless: both results are valid and the
-// last store wins.
-func (db *DB) planFor(st Statement, slot *planSlot) *compiledStmt {
+// stale, and the static error it carries. Racing recompiles are harmless:
+// both results are valid and the last store wins.
+//
+// Programs hold the *table objects they resolved. The versions in deps are
+// captured before those lookups, so a compilation whose deps still match
+// refers to the live tables. DDL that lands after this check cannot tear
+// the execution: like any reader that fetched a table before a concurrent
+// DROP, it finishes against the table it resolved, whose layout matches
+// every compiled offset. No execution is ever retried.
+func (db *DB) planFor(st Statement, slot *planSlot) (*compiledStmt, error) {
 	cs := slot.p.Load()
-	if cs == nil || !db.depsValid(cs.deps) {
+	if cs == nil || !db.depsValid(cs) {
 		cs = db.compileStmt(st)
 		slot.p.Store(cs)
 	}
-	return cs
+	return cs, cs.err
 }
 
-// compileStmt compiles st against the current schema. Any compile error
-// (unknown column, missing table, unsupported shape) produces a fallback
-// marker rather than a statement error: the interpreted path owns error
-// semantics, including the lazy cases where an unresolvable reference over
-// zero rows is not an error at all.
+// compileStmt compiles a SELECT, UPDATE or DELETE against the current
+// schema. deps are captured before any table is looked up (see planFor).
 func (db *DB) compileStmt(st Statement) *compiledStmt {
 	db.compiles.Add(1)
-	cs := &compiledStmt{deps: db.captureDeps(stmtTables(st))}
-	var err error
+	cs := &compiledStmt{}
+	db.captureDeps(cs, stmtTables(st))
 	switch s := st.(type) {
 	case *SelectStmt:
-		cs.sel, err = db.buildSelectProgram(s)
+		cs.sel, cs.err = db.buildSelectProgram(s)
 	case *UpdateStmt:
-		cs.upd, err = db.buildUpdateProgram(s)
+		cs.upd, cs.err = db.buildUpdateProgram(s)
 	case *DeleteStmt:
-		cs.del, err = db.buildDeleteProgram(s)
-	default:
-		err = errUncompilable
-	}
-	if err != nil {
-		cs.sel, cs.upd, cs.del, cs.fallback = nil, nil, nil, true
+		cs.del, cs.err = db.buildDeleteProgram(s)
 	}
 	return cs
-}
-
-// ---- statement routers ----
-
-func (db *DB) execSelect(sel *SelectStmt, slot *planSlot, params []Value) (*Result, error) {
-	if slot == nil || db.noCompile.Load() {
-		return db.execSelectInterp(sel, params)
-	}
-	for attempt := 0; attempt < 2; attempt++ {
-		cs := db.planFor(sel, slot)
-		if cs.fallback || cs.sel == nil {
-			return db.execSelectInterp(sel, params)
-		}
-		res, err := db.runSelectProgram(cs.sel, params)
-		if err == errStalePlan {
-			slot.p.Store(nil)
-			continue
-		}
-		return res, err
-	}
-	// DDL churn kept invalidating the plan; the interpreted path always
-	// sees a coherent schema.
-	return db.execSelectInterp(sel, params)
-}
-
-func (db *DB) execUpdate(up *UpdateStmt, slot *planSlot, params []Value) (*Result, error) {
-	if slot == nil || db.noCompile.Load() {
-		return db.execUpdateInterp(up, params)
-	}
-	for attempt := 0; attempt < 2; attempt++ {
-		cs := db.planFor(up, slot)
-		if cs.fallback || cs.upd == nil {
-			return db.execUpdateInterp(up, params)
-		}
-		res, err := db.runUpdateProgram(cs.upd, params)
-		if err == errStalePlan {
-			slot.p.Store(nil)
-			continue
-		}
-		return res, err
-	}
-	return db.execUpdateInterp(up, params)
-}
-
-func (db *DB) execDelete(del *DeleteStmt, slot *planSlot, params []Value) (*Result, error) {
-	if slot == nil || db.noCompile.Load() {
-		return db.execDeleteInterp(del, params)
-	}
-	for attempt := 0; attempt < 2; attempt++ {
-		cs := db.planFor(del, slot)
-		if cs.fallback || cs.del == nil {
-			return db.execDeleteInterp(del, params)
-		}
-		res, err := db.runDeleteProgram(cs.del, params)
-		if err == errStalePlan {
-			slot.p.Store(nil)
-			continue
-		}
-		return res, err
-	}
-	return db.execDeleteInterp(del, params)
 }
 
 // ---- expression compilation ----
 
 // resolveCol resolves a column reference against an ordered column layout —
-// the single resolution routine shared by the interpreted evaluator (per
-// row) and the compiler (once per statement).
+// the single resolution routine shared by the compiler (once per
+// statement) and the interpreted oracle (per row).
 func resolveCol(cols []envCol, c *ColumnRef) (int, error) {
 	tbl := strings.ToLower(c.Table)
 	col := strings.ToLower(c.Column)
@@ -238,17 +158,21 @@ func resolveCol(cols []envCol, c *ColumnRef) (int, error) {
 	return found, nil
 }
 
+// failExpr returns a closure that raises err on every evaluation.
+func failExpr(err error) compiledExpr {
+	return func(Row, []Value) (Value, error) { return Null, err }
+}
+
 // compileExpr lowers a scalar expression into a closure over the given
-// column layout. Resolution errors surface at compile time (the caller falls
-// back to the interpreted path to preserve lazy semantics); evaluation
-// errors that the interpreter raises per row (missing parameters, aggregate
-// misuse) are lowered into closures that raise them lazily, so a query over
-// zero rows still succeeds exactly like the interpreter.
-func compileExpr(cols []envCol, x Expr) (compiledExpr, error) {
+// column layout. It never fails: every error the interpreted evaluator
+// raises per row (unresolvable or ambiguous columns, missing parameters,
+// aggregate misuse) is lowered into a closure that raises it lazily, so a
+// query over zero rows still succeeds.
+func compileExpr(cols []envCol, x Expr) compiledExpr {
 	switch v := x.(type) {
 	case *Literal:
 		val := v.Val
-		return func(Row, []Value) (Value, error) { return val, nil }, nil
+		return func(Row, []Value) (Value, error) { return val, nil }
 	case *Param:
 		ord := v.Ordinal
 		disp := paramSrc(v)
@@ -257,39 +181,29 @@ func compileExpr(cols []envCol, x Expr) (compiledExpr, error) {
 				return Null, fmt.Errorf("relational: missing parameter %d", disp)
 			}
 			return params[ord-1], nil
-		}, nil
+		}
 	case *ColumnRef:
 		i, err := resolveCol(cols, v)
 		if err != nil {
-			return nil, err
+			return failExpr(err)
 		}
-		return func(row Row, _ []Value) (Value, error) { return row[i], nil }, nil
+		return func(row Row, _ []Value) (Value, error) { return row[i], nil }
 	case *BinaryExpr:
 		return compileBinary(cols, v)
 	case *UnaryExpr:
-		inner, err := compileExpr(cols, v.E)
-		if err != nil {
-			return nil, err
-		}
+		inner := compileExpr(cols, v.E)
 		return func(row Row, params []Value) (Value, error) {
 			val, err := inner(row, params)
 			if err != nil {
 				return Null, err
 			}
 			return NewBool(!truthy(val)), nil
-		}, nil
-	case *InExpr:
-		e, err := compileExpr(cols, v.E)
-		if err != nil {
-			return nil, err
 		}
+	case *InExpr:
+		e := compileExpr(cols, v.E)
 		items := make([]compiledExpr, len(v.List))
 		for i, item := range v.List {
-			f, err := compileExpr(cols, item)
-			if err != nil {
-				return nil, err
-			}
-			items[i] = f
+			items[i] = compileExpr(cols, item)
 		}
 		not := v.Not
 		return func(row Row, params []Value) (Value, error) {
@@ -309,20 +223,11 @@ func compileExpr(cols []envCol, x Expr) (compiledExpr, error) {
 				}
 			}
 			return NewBool(hit != not), nil
-		}, nil
+		}
 	case *BetweenExpr:
-		e, err := compileExpr(cols, v.E)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := compileExpr(cols, v.Lo)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := compileExpr(cols, v.Hi)
-		if err != nil {
-			return nil, err
-		}
+		e := compileExpr(cols, v.E)
+		lo := compileExpr(cols, v.Lo)
+		hi := compileExpr(cols, v.Hi)
 		not := v.Not
 		return func(row Row, params []Value) (Value, error) {
 			val, err := e(row, params)
@@ -340,12 +245,9 @@ func compileExpr(cols []envCol, x Expr) (compiledExpr, error) {
 			in := !val.IsNull() && !loV.IsNull() && !hiV.IsNull() &&
 				Compare(val, loV) >= 0 && Compare(val, hiV) <= 0
 			return NewBool(in != not), nil
-		}, nil
-	case *IsNullExpr:
-		e, err := compileExpr(cols, v.E)
-		if err != nil {
-			return nil, err
 		}
+	case *IsNullExpr:
+		e := compileExpr(cols, v.E)
 		not := v.Not
 		return func(row Row, params []Value) (Value, error) {
 			val, err := e(row, params)
@@ -353,64 +255,65 @@ func compileExpr(cols []envCol, x Expr) (compiledExpr, error) {
 				return Null, err
 			}
 			return NewBool(val.IsNull() != not), nil
-		}, nil
+		}
 	case *AggExpr:
-		// Same lazy error as the interpreter: raised per evaluation, so it
-		// never fires over zero rows.
-		return func(Row, []Value) (Value, error) {
-			return Null, errors.New("relational: aggregate outside aggregation context")
-		}, nil
+		return failExpr(errors.New("relational: aggregate outside aggregation context"))
 	default:
-		return func(Row, []Value) (Value, error) {
-			return Null, errors.New("relational: unsupported expression")
-		}, nil
+		return failExpr(errors.New("relational: unsupported expression"))
+	}
+}
+
+// resolvable reports whether every column reference in x resolves against
+// cols, i.e. whether compileExpr lowered no reference into a lazy error.
+func resolvable(cols []envCol, x Expr) bool {
+	switch v := x.(type) {
+	case *ColumnRef:
+		_, err := resolveCol(cols, v)
+		return err == nil
+	case *BinaryExpr:
+		return resolvable(cols, v.L) && resolvable(cols, v.R)
+	case *UnaryExpr:
+		return resolvable(cols, v.E)
+	case *InExpr:
+		for _, item := range v.List {
+			if !resolvable(cols, item) {
+				return false
+			}
+		}
+		return resolvable(cols, v.E)
+	case *BetweenExpr:
+		return resolvable(cols, v.E) && resolvable(cols, v.Lo) && resolvable(cols, v.Hi)
+	case *IsNullExpr:
+		return resolvable(cols, v.E)
+	case *AggExpr:
+		return v.Star || resolvable(cols, v.Arg)
+	default:
+		return true
 	}
 }
 
 // compileConjuncts compiles the conjunct list of a left-deep AND chain in
 // source order.
-func compileConjuncts(cols []envCol, v *BinaryExpr) ([]compiledExpr, error) {
+func compileConjuncts(cols []envCol, v *BinaryExpr) []compiledExpr {
 	var out []compiledExpr
 	if lb, ok := v.L.(*BinaryExpr); ok && lb.Op == "AND" {
-		flat, err := compileConjuncts(cols, lb)
-		if err != nil {
-			return nil, err
-		}
-		out = flat
+		out = compileConjuncts(cols, lb)
 	} else {
-		l, err := compileExpr(cols, v.L)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, l)
+		out = append(out, compileExpr(cols, v.L))
 	}
-	r, err := compileExpr(cols, v.R)
-	if err != nil {
-		return nil, err
-	}
-	return append(out, r), nil
+	return append(out, compileExpr(cols, v.R))
 }
 
-func compileBinary(cols []envCol, v *BinaryExpr) (compiledExpr, error) {
-	l, err := compileExpr(cols, v.L)
-	if err != nil {
-		return nil, err
-	}
-	r, err := compileExpr(cols, v.R)
-	if err != nil {
-		return nil, err
-	}
+func compileBinary(cols []envCol, v *BinaryExpr) compiledExpr {
+	l := compileExpr(cols, v.L)
+	r := compileExpr(cols, v.R)
 	switch v.Op {
 	case "AND":
 		// Conjunct chains (the normal WHERE form) flatten into one closure
 		// that loops a list, instead of one nested frame per AND node.
 		conjuncts := []compiledExpr{l, r}
 		if lb, ok := v.L.(*BinaryExpr); ok && lb.Op == "AND" {
-			flat, err := compileConjuncts(cols, lb)
-			if err != nil {
-				return nil, err
-			}
-			conjuncts = append(flat, r)
+			conjuncts = append(compileConjuncts(cols, lb), r)
 		}
 		return func(row Row, params []Value) (Value, error) {
 			for _, c := range conjuncts {
@@ -423,7 +326,7 @@ func compileBinary(cols []envCol, v *BinaryExpr) (compiledExpr, error) {
 				}
 			}
 			return NewBool(true), nil
-		}, nil
+		}
 	case "OR":
 		return func(row Row, params []Value) (Value, error) {
 			lv, err := l(row, params)
@@ -438,7 +341,7 @@ func compileBinary(cols []envCol, v *BinaryExpr) (compiledExpr, error) {
 				return Null, err
 			}
 			return NewBool(truthy(rv)), nil
-		}, nil
+		}
 	}
 	// Comparisons dispatch on the operator once at compile time instead of
 	// re-switching on the op string for every row.
@@ -454,7 +357,7 @@ func compileBinary(cols []envCol, v *BinaryExpr) (compiledExpr, error) {
 				return Null, err
 			}
 			return NewBool(Equal(lv, rv)), nil
-		}, nil
+		}
 	case "!=":
 		return func(row Row, params []Value) (Value, error) {
 			lv, err := l(row, params)
@@ -469,7 +372,7 @@ func compileBinary(cols []envCol, v *BinaryExpr) (compiledExpr, error) {
 				return NewBool(false), nil
 			}
 			return NewBool(Compare(lv, rv) != 0), nil
-		}, nil
+		}
 	case "<", "<=", ">", ">=":
 		var test func(c int) bool
 		switch v.Op {
@@ -495,7 +398,7 @@ func compileBinary(cols []envCol, v *BinaryExpr) (compiledExpr, error) {
 				return NewBool(false), nil
 			}
 			return NewBool(test(Compare(lv, rv))), nil
-		}, nil
+		}
 	}
 	op := v.Op
 	return func(row Row, params []Value) (Value, error) {
@@ -508,12 +411,12 @@ func compileBinary(cols []envCol, v *BinaryExpr) (compiledExpr, error) {
 			return Null, err
 		}
 		return compareValues(op, lv, rv)
-	}, nil
+	}
 }
 
 // compareValues applies a non-logical binary operator to two evaluated
-// values — the shared tail of the interpreted evalBinary and the compiled
-// closures.
+// values — the generic tail of the compiled closures, shared with the
+// interpreted oracle.
 func compareValues(op string, l, r Value) (Value, error) {
 	switch op {
 	case "=":
@@ -549,8 +452,8 @@ func compareValues(op string, l, r Value) (Value, error) {
 }
 
 // applyBinaryValues applies any binary operator to two already-evaluated
-// values. Matches the interpreter's aggregate-context behaviour, where both
-// sides are computed before combining (no short-circuit).
+// values. In aggregate context both sides are computed before combining
+// (no short-circuit).
 func applyBinaryValues(op string, l, r Value) (Value, error) {
 	switch op {
 	case "AND":
@@ -569,23 +472,20 @@ func applyBinaryValues(op string, l, r Value) (Value, error) {
 
 // compileOnFirst lowers a non-aggregate expression for use in aggregation
 // context: evaluated on the group's first row, Null over an empty group.
-func compileOnFirst(cols []envCol, x Expr) (compiledAggExpr, error) {
-	f, err := compileExpr(cols, x)
-	if err != nil {
-		return nil, err
-	}
+func compileOnFirst(cols []envCol, x Expr) compiledAggExpr {
+	f := compileExpr(cols, x)
 	return func(rows []Row, params []Value) (Value, error) {
 		if len(rows) == 0 {
 			return Null, nil
 		}
 		return f(rows[0], params)
-	}, nil
+	}
 }
 
-// compileAggExpr lowers an expression that may contain aggregates, mirroring
-// evalAgg: aggregate leaves stream over the group's rows, non-aggregate
-// subtrees evaluate on the first row.
-func compileAggExpr(cols []envCol, x Expr) (compiledAggExpr, error) {
+// compileAggExpr lowers an expression that may contain aggregates:
+// aggregate leaves stream over the group's rows, non-aggregate subtrees
+// evaluate on the first row.
+func compileAggExpr(cols []envCol, x Expr) compiledAggExpr {
 	switch v := x.(type) {
 	case *AggExpr:
 		return compileAgg(cols, v)
@@ -593,14 +493,8 @@ func compileAggExpr(cols []envCol, x Expr) (compiledAggExpr, error) {
 		if !hasAggregate(v) {
 			return compileOnFirst(cols, v)
 		}
-		l, err := compileAggExpr(cols, v.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileAggExpr(cols, v.R)
-		if err != nil {
-			return nil, err
-		}
+		l := compileAggExpr(cols, v.L)
+		r := compileAggExpr(cols, v.R)
 		op := v.Op
 		return func(rows []Row, params []Value) (Value, error) {
 			lv, err := l(rows, params)
@@ -612,19 +506,16 @@ func compileAggExpr(cols []envCol, x Expr) (compiledAggExpr, error) {
 				return Null, err
 			}
 			return applyBinaryValues(op, lv, rv)
-		}, nil
-	case *UnaryExpr:
-		inner, err := compileAggExpr(cols, v.E)
-		if err != nil {
-			return nil, err
 		}
+	case *UnaryExpr:
+		inner := compileAggExpr(cols, v.E)
 		return func(rows []Row, params []Value) (Value, error) {
 			val, err := inner(rows, params)
 			if err != nil {
 				return Null, err
 			}
 			return NewBool(!truthy(val)), nil
-		}, nil
+		}
 	default:
 		return compileOnFirst(cols, x)
 	}
@@ -633,16 +524,13 @@ func compileAggExpr(cols []envCol, x Expr) (compiledAggExpr, error) {
 // compileAgg lowers one aggregate call into a streaming accumulator: no
 // per-group value slice is materialized, and DISTINCT deduplicates through
 // the binary key encoder over a reused scratch buffer.
-func compileAgg(cols []envCol, a *AggExpr) (compiledAggExpr, error) {
+func compileAgg(cols []envCol, a *AggExpr) compiledAggExpr {
 	if a.Star {
 		return func(rows []Row, _ []Value) (Value, error) {
 			return NewInt(int64(len(rows))), nil
-		}, nil
+		}
 	}
-	arg, err := compileExpr(cols, a.Arg)
-	if err != nil {
-		return nil, err
-	}
+	arg := compileExpr(cols, a.Arg)
 	distinct := a.Distinct
 	switch a.Fn {
 	case "COUNT":
@@ -671,7 +559,7 @@ func compileAgg(cols []envCol, a *AggExpr) (compiledAggExpr, error) {
 				n++
 			}
 			return NewInt(int64(n)), nil
-		}, nil
+		}
 	case "SUM", "AVG":
 		fn := a.Fn
 		return func(rows []Row, params []Value) (Value, error) {
@@ -683,9 +571,9 @@ func compileAgg(cols []envCol, a *AggExpr) (compiledAggExpr, error) {
 			var sum float64
 			allInt := true
 			n := 0
-			// The interpreter collects all values (surfacing evaluation
-			// errors) before type-checking them, so a deferred pendingErr
-			// keeps the error precedence identical while streaming.
+			// The oracle collects all values (surfacing evaluation errors)
+			// before type-checking them, so a deferred pendingErr keeps the
+			// error precedence identical while streaming.
 			var pendingErr error
 			for _, r := range rows {
 				v, err := arg(r, params)
@@ -729,7 +617,7 @@ func compileAgg(cols []envCol, a *AggExpr) (compiledAggExpr, error) {
 				return NewInt(int64(sum)), nil
 			}
 			return NewFloat(sum), nil
-		}, nil
+		}
 	case "MIN", "MAX":
 		min := a.Fn == "MIN"
 		// DISTINCT cannot change a min or max; skip the dedup work.
@@ -757,12 +645,12 @@ func compileAgg(cols []envCol, a *AggExpr) (compiledAggExpr, error) {
 				return Null, nil
 			}
 			return best, nil
-		}, nil
+		}
 	default:
 		fn := a.Fn
 		return func([]Row, []Value) (Value, error) {
 			return Null, fmt.Errorf("relational: unknown aggregate %q", fn)
-		}, nil
+		}
 	}
 }
 
@@ -770,8 +658,7 @@ func compileAgg(cols []envCol, a *AggExpr) (compiledAggExpr, error) {
 
 type selectProgram struct {
 	sel       *SelectStmt
-	baseTable string // lowercased storage key
-	baseVer   uint64
+	base      *table
 	baseWidth int // base table column count (row width before joins)
 	layout    []envCol
 	joins     []joinProgram
@@ -798,14 +685,21 @@ type selectProgram struct {
 	groupBy    []int
 	having     compiledAggExpr
 	aggDesc    string // "GroupBy(n keys)" or "Aggregate"
+	// Errors an aggregated statement raises once its WHERE has filtered
+	// every row, in the oracle's order: starErr always (SELECT * with
+	// aggregates), keyErr (an unresolvable GROUP BY key) only when a row
+	// survives the filter, orderErr (an ORDER BY key that is not an output
+	// column) at the sort.
+	starErr  error
+	keyErr   error
+	orderErr error
 
 	orderBy  []orderProgram
 	sortDesc string
 }
 
 type joinProgram struct {
-	table string // lowercased storage key
-	ver   uint64
+	t     *table
 	lIdx  int // offset in the accumulated left layout
 	rIdx  int // offset within the joined table's rows
 	width int // joined table column count
@@ -833,15 +727,69 @@ func outColumnIndex(columns []string, name string) int {
 	return -1
 }
 
+// orderOutIndex returns the output column an ORDER BY key sorts on, or -1
+// when the key is evaluated against the input row: only an unqualified
+// column reference naming an output column (or alias) sorts the output.
+func orderOutIndex(ob OrderItem, columns []string) int {
+	if cr, ok := ob.Expr.(*ColumnRef); ok && cr.Table == "" {
+		return outColumnIndex(columns, cr.Column)
+	}
+	return -1
+}
+
+func itemName(it SelectItem) string {
+	if it.Alias != "" {
+		return it.Alias
+	}
+	if c, ok := it.Expr.(*ColumnRef); ok {
+		return c.Column
+	}
+	return exprString(it.Expr)
+}
+
+// outputColumns names the result columns of a select list; pretty holds the
+// column names of the FROM and JOIN tables in layout order (what * expands
+// to).
+func outputColumns(items []SelectItem, pretty []string) []string {
+	var names []string
+	for _, it := range items {
+		if it.Star {
+			names = append(names, pretty...)
+			continue
+		}
+		names = append(names, itemName(it))
+	}
+	return names
+}
+
+// distinctOrderErr rejects SELECT DISTINCT with an ORDER BY key outside the
+// select list, as PostgreSQL does: DISTINCT merges input rows, so a key
+// read from them has no single value per output row. Both executors raise
+// it before reading any row.
+func distinctOrderErr(sel *SelectStmt, columns []string) error {
+	if !sel.Distinct {
+		return nil
+	}
+	for _, ob := range sel.OrderBy {
+		if orderOutIndex(ob, columns) < 0 {
+			return fmt.Errorf("relational: for SELECT DISTINCT, ORDER BY key %q must appear in the select list", exprString(ob.Expr))
+		}
+	}
+	return nil
+}
+
+// buildSelectProgram compiles a SELECT. Its error return is the statement's
+// static error, raised in the oracle's order: a missing FROM table, then per
+// join a missing table or an unresolvable ON column, then DISTINCT with an
+// input-row ORDER BY key.
 func (db *DB) buildSelectProgram(sel *SelectStmt) (*selectProgram, error) {
-	base, baseVer, err := db.tableVer(sel.From.Table)
+	base, err := db.table(sel.From.Table)
 	if err != nil {
 		return nil, err
 	}
 	p := &selectProgram{
 		sel:       sel,
-		baseTable: strings.ToLower(sel.From.Table),
-		baseVer:   baseVer,
+		base:      base,
 		baseWidth: len(base.schema.Columns),
 	}
 	baseName := strings.ToLower(sel.From.Name())
@@ -852,7 +800,7 @@ func (db *DB) buildSelectProgram(sel *SelectStmt) (*selectProgram, error) {
 	pretty := append([]string(nil), base.schema.Names()...)
 
 	for _, j := range sel.Joins {
-		jt, jVer, err := db.tableVer(j.Table.Table)
+		jt, err := db.table(j.Table.Table)
 		if err != nil {
 			return nil, err
 		}
@@ -861,18 +809,15 @@ func (db *DB) buildSelectProgram(sel *SelectStmt) (*selectProgram, error) {
 		for _, c := range jt.schema.Columns {
 			jCols = append(jCols, envCol{table: jName, name: strings.ToLower(c.Name)})
 		}
-		// Determine which side of ON belongs to the joined table (same swap
-		// logic as the interpreter).
+		// Determine which side of ON belongs to the joined table: ON may
+		// name the joined side first.
 		leftRef, rightRef := j.LCol, j.RCol
-		if _, err := resolveCol(jCols, &rightRef); err != nil {
-			leftRef, rightRef = rightRef, leftRef
-			if _, err2 := resolveCol(jCols, &rightRef); err2 != nil {
-				return nil, err2
-			}
-		}
 		rIdx, err := resolveCol(jCols, &rightRef)
 		if err != nil {
-			return nil, err
+			leftRef, rightRef = rightRef, leftRef
+			if rIdx, err = resolveCol(jCols, &rightRef); err != nil {
+				return nil, fmt.Errorf("relational: join condition references no column of %s", j.Table.Name())
+			}
 		}
 		lIdx, err := resolveCol(cols, &leftRef)
 		if err != nil {
@@ -883,8 +828,7 @@ func (db *DB) buildSelectProgram(sel *SelectStmt) (*selectProgram, error) {
 			kind = "LeftHashJoin"
 		}
 		p.joins = append(p.joins, joinProgram{
-			table: strings.ToLower(j.Table.Table),
-			ver:   jVer,
+			t:     jt,
 			lIdx:  lIdx,
 			rIdx:  rIdx,
 			width: len(jt.schema.Columns),
@@ -895,17 +839,17 @@ func (db *DB) buildSelectProgram(sel *SelectStmt) (*selectProgram, error) {
 		pretty = append(pretty, jt.schema.Names()...)
 	}
 	p.layout = cols
+	p.columns = outputColumns(sel.Items, pretty)
+	if err := distinctOrderErr(sel, p.columns); err != nil {
+		return nil, err
+	}
 
 	if sel.Where != nil {
-		f, err := compileExpr(cols, sel.Where)
-		if err != nil {
-			return nil, err
-		}
-		p.where = f
+		p.where = compileExpr(cols, sel.Where)
 		p.whereAuto = hasAutoParam(sel.Where)
 		p.whereDesc = "Filter(" + exprString(sel.Where) + ")"
 	}
-	p.access = buildAccessCands(strings.ToLower(sel.From.Name()), sel.Where)
+	p.access = buildAccessCands(baseName, sel.Where)
 
 	p.aggregated = len(sel.GroupBy) > 0
 	for _, it := range sel.Items {
@@ -917,32 +861,22 @@ func (db *DB) buildSelectProgram(sel *SelectStmt) (*selectProgram, error) {
 	if p.aggregated {
 		for _, it := range sel.Items {
 			if it.Star {
-				// The interpreter rejects this at execution time; keep the
-				// error on the interpreted path.
-				return nil, errUncompilable
+				p.starErr = errors.New("relational: SELECT * cannot be combined with aggregates")
+				break
 			}
-			p.columns = append(p.columns, itemName(it))
-			f, err := compileAggExpr(cols, it.Expr)
-			if err != nil {
-				return nil, err
-			}
-			p.aggItems = append(p.aggItems, f)
+			p.aggItems = append(p.aggItems, compileAggExpr(cols, it.Expr))
 		}
 		p.outWidth = len(p.aggItems)
 		for _, gc := range sel.GroupBy {
 			gcCopy := gc
 			i, err := resolveCol(cols, &gcCopy)
-			if err != nil {
-				return nil, err
+			if err != nil && p.keyErr == nil {
+				p.keyErr = err
 			}
 			p.groupBy = append(p.groupBy, i)
 		}
 		if sel.Having != nil {
-			f, err := compileAggExpr(cols, sel.Having)
-			if err != nil {
-				return nil, err
-			}
-			p.having = f
+			p.having = compileAggExpr(cols, sel.Having)
 		}
 		if len(sel.GroupBy) > 0 {
 			p.aggDesc = fmt.Sprintf("GroupBy(%d keys)", len(sel.GroupBy))
@@ -952,41 +886,25 @@ func (db *DB) buildSelectProgram(sel *SelectStmt) (*selectProgram, error) {
 	} else {
 		for _, it := range sel.Items {
 			if it.Star {
-				p.columns = append(p.columns, pretty...)
 				p.items = append(p.items, itemProgram{star: true})
 				p.outWidth += len(cols)
 				continue
 			}
-			p.columns = append(p.columns, itemName(it))
-			f, err := compileExpr(cols, it.Expr)
-			if err != nil {
-				return nil, err
-			}
-			p.items = append(p.items, itemProgram{f: f})
+			p.items = append(p.items, itemProgram{f: compileExpr(cols, it.Expr)})
 			p.outWidth++
 		}
 	}
 
 	for _, ob := range sel.OrderBy {
-		op := orderProgram{outIdx: -1, desc: ob.Desc}
-		if cr, ok := ob.Expr.(*ColumnRef); ok && cr.Table == "" {
-			op.outIdx = outColumnIndex(p.columns, cr.Column)
-		}
+		op := orderProgram{outIdx: orderOutIndex(ob, p.columns), desc: ob.Desc}
 		if op.outIdx < 0 {
 			if p.aggregated {
-				// Interpreted path raises "must be an output column".
-				return nil, errUncompilable
+				if p.orderErr == nil {
+					p.orderErr = fmt.Errorf("relational: ORDER BY key %q must be an output column in aggregate queries", exprString(ob.Expr))
+				}
+			} else {
+				op.f = compileExpr(cols, ob.Expr)
 			}
-			if sel.Distinct {
-				// Whether the interpreter errors here depends on how many
-				// rows DISTINCT removes at runtime; leave the quirk to it.
-				return nil, errUncompilable
-			}
-			f, err := compileExpr(cols, ob.Expr)
-			if err != nil {
-				return nil, err
-			}
-			op.f = f
 		}
 		p.orderBy = append(p.orderBy, op)
 	}
@@ -1414,11 +1332,7 @@ type rowIter func(visit func(Row) error) error
 
 func (db *DB) runSelectProgram(p *selectProgram, params []Value) (*Result, error) {
 	sel := p.sel
-	base, ver, err := db.tableVer(sel.From.Table)
-	if err != nil || ver != p.baseVer {
-		return nil, errStalePlan
-	}
-
+	base := p.base
 	path := p.planAccessCompiled(base, params)
 	var planLines []string
 	if sel.Explain {
@@ -1476,11 +1390,7 @@ func (db *DB) runSelectProgram(p *selectProgram, params []Value) (*Result, error
 	var scratch []byte
 	curWidth := p.baseWidth
 	for _, jp := range p.joins {
-		jt, jVer, err := db.tableVer(jp.table)
-		if err != nil || jVer != jp.ver {
-			return nil, errStalePlan
-		}
-		build := buildJoinHash(jt.snapshotRows(), jp.rIdx)
+		build := buildJoinHash(jp.t.snapshotRows(), jp.rIdx)
 		joined := make([]Row, 0, len(rows))
 		arena := newRowArena(curWidth + jp.width)
 		var nullRight Row
@@ -1553,10 +1463,25 @@ func (db *DB) runSelectTail(p *selectProgram, iter rowIter, params []Value, plan
 	return out, nil
 }
 
+func distinctRows(rows []Row) []Row {
+	seen := make(map[string]struct{}, len(rows))
+	out := rows[:0:0]
+	var scratch []byte
+	for _, r := range rows {
+		scratch = appendRowKey(scratch[:0], r)
+		if _, dup := seen[string(scratch)]; dup {
+			continue
+		}
+		seen[string(scratch)] = struct{}{}
+		out = append(out, r)
+	}
+	return out
+}
+
 // runAggregate executes the grouped/aggregated tail of a compiled SELECT:
 // fused filter+group with binary bucket keys, streaming accumulators per
 // item, then HAVING, DISTINCT, ORDER BY (output columns only) and
-// OFFSET/LIMIT with the interpreter's plan-line behaviour.
+// OFFSET/LIMIT with the oracle's plan-line behaviour.
 func (db *DB) runAggregate(p *selectProgram, iter rowIter, params []Value, planLines *[]string) (*Result, error) {
 	sel := p.sel
 	type aggGroup struct{ rows []Row }
@@ -1583,6 +1508,7 @@ func (db *DB) runAggregate(p *selectProgram, iter rowIter, params []Value, planL
 	} else {
 		byKey := make(map[string]*aggGroup)
 		var scratch []byte
+		matched := false
 		err := iter(func(r Row) error {
 			if p.where != nil {
 				v, err := p.where(r, params)
@@ -1592,6 +1518,11 @@ func (db *DB) runAggregate(p *selectProgram, iter rowIter, params []Value, planL
 				if !truthy(v) {
 					return nil
 				}
+			}
+			if p.keyErr != nil {
+				// Keep filtering: a WHERE error on a later row wins.
+				matched = true
+				return nil
 			}
 			scratch = scratch[:0]
 			for _, gi := range p.groupBy {
@@ -1609,6 +1540,12 @@ func (db *DB) runAggregate(p *selectProgram, iter rowIter, params []Value, planL
 		if err != nil {
 			return nil, err
 		}
+		if matched && p.starErr == nil {
+			return nil, p.keyErr
+		}
+	}
+	if p.starErr != nil {
+		return nil, p.starErr
 	}
 	if p.where != nil {
 		if p.sel.Explain {
@@ -1620,7 +1557,7 @@ func (db *DB) runAggregate(p *selectProgram, iter rowIter, params []Value, planL
 	for _, g := range groups {
 		if len(p.groupBy) == 0 && len(g.rows) == 0 {
 			// Global aggregate over empty input yields one row; HAVING is
-			// not consulted (interpreter behaviour).
+			// not consulted (oracle behaviour).
 			or := make(Row, 0, p.outWidth)
 			for _, f := range p.aggItems {
 				v, err := f(g.rows, params)
@@ -1663,8 +1600,9 @@ func (db *DB) runAggregate(p *selectProgram, iter rowIter, params []Value, planL
 	}
 
 	if len(p.orderBy) > 0 {
-		// Aggregated ORDER BY keys are always output columns (anything else
-		// is a fallback shape).
+		if p.orderErr != nil {
+			return nil, p.orderErr
+		}
 		idx := make([]int, len(out.Rows))
 		for i := range idx {
 			idx[i] = i
@@ -1923,8 +1861,7 @@ func (db *DB) runProject(p *selectProgram, iter rowIter, params []Value, planLin
 // ---- UPDATE / DELETE compilation ----
 
 type updateProgram struct {
-	table   string
-	ver     uint64
+	t       *table
 	where   compiledExpr
 	access  []accessCand
 	targets []updateTarget
@@ -1938,61 +1875,58 @@ type updateTarget struct {
 }
 
 type deleteProgram struct {
-	table  string
-	ver    uint64
+	t      *table
 	where  compiledExpr
 	access []accessCand
 }
 
 func (db *DB) buildUpdateProgram(up *UpdateStmt) (*updateProgram, error) {
-	t, ver, err := db.tableVer(up.Table)
+	t, err := db.table(up.Table)
 	if err != nil {
 		return nil, err
 	}
-	p := &updateProgram{table: strings.ToLower(up.Table), ver: ver}
+	p := &updateProgram{t: t}
 	cols := tableLayout(t, up.Table)
 	for _, sc := range up.Set {
 		ci := t.schema.ColIndex(sc.Column)
 		if ci < 0 {
 			return nil, fmt.Errorf("%w: %s.%s", ErrColumnUnknown, up.Table, sc.Column)
 		}
-		f, err := compileExpr(cols, sc.Value)
-		if err != nil {
-			return nil, err
-		}
 		p.targets = append(p.targets, updateTarget{
 			col:  ci,
 			name: t.schema.Columns[ci].Name,
 			typ:  t.schema.Columns[ci].Type,
-			f:    f,
+			f:    compileExpr(cols, sc.Value),
 		})
 	}
-	if up.Where != nil {
-		f, err := compileExpr(cols, up.Where)
-		if err != nil {
-			return nil, err
-		}
-		p.where = f
-		p.access = buildAccessCands(p.table, up.Where)
-	}
+	p.where, p.access = compileDMLWhere(cols, up.Table, up.Where)
 	return p, nil
 }
 
 func (db *DB) buildDeleteProgram(del *DeleteStmt) (*deleteProgram, error) {
-	t, ver, err := db.tableVer(del.Table)
+	t, err := db.table(del.Table)
 	if err != nil {
 		return nil, err
 	}
-	p := &deleteProgram{table: strings.ToLower(del.Table), ver: ver}
-	if del.Where != nil {
-		f, err := compileExpr(tableLayout(t, del.Table), del.Where)
-		if err != nil {
-			return nil, err
-		}
-		p.where = f
-		p.access = buildAccessCands(p.table, del.Where)
-	}
+	p := &deleteProgram{t: t}
+	p.where, p.access = compileDMLWhere(tableLayout(t, del.Table), del.Table, del.Where)
 	return p, nil
+}
+
+// compileDMLWhere compiles an UPDATE/DELETE predicate and its sargable
+// candidates. A WHERE with an unresolvable reference gets no candidates:
+// its lazy error fires on whichever row first evaluates the reference, so
+// it must visit every row in id order, as the oracle's full scan does,
+// rather than the subset an index would pick.
+func compileDMLWhere(cols []envCol, table string, where Expr) (compiledExpr, []accessCand) {
+	if where == nil {
+		return nil, nil
+	}
+	var access []accessCand
+	if resolvable(cols, where) {
+		access = buildAccessCands(strings.ToLower(table), where)
+	}
+	return compileExpr(cols, where), access
 }
 
 // tableLayout builds the single-table column layout used by DML predicates.
@@ -2020,10 +1954,7 @@ func dmlCandidates(t *table, access []accessCand, params []Value) (ids []int, al
 }
 
 func (db *DB) runUpdateProgram(p *updateProgram, params []Value) (*Result, error) {
-	t, ver, err := db.tableVer(p.table)
-	if err != nil || ver != p.ver {
-		return nil, errStalePlan
-	}
+	t := p.t
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := 0
@@ -2079,10 +2010,7 @@ func (db *DB) runUpdateProgram(p *updateProgram, params []Value) (*Result, error
 }
 
 func (db *DB) runDeleteProgram(p *deleteProgram, params []Value) (*Result, error) {
-	t, ver, err := db.tableVer(p.table)
-	if err != nil || ver != p.ver {
-		return nil, errStalePlan
-	}
+	t := p.t
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := 0

@@ -13,11 +13,11 @@ import (
 // and through the interpreted oracle, and the two must agree on columns,
 // rows, plan strings and errors. The corpus covers the full dialect surface
 // (every operator, joins, grouping, HAVING, DISTINCT, ORDER BY/LIMIT/OFFSET,
-// parameters, NULLs) plus the lazy-error shapes the compiler refuses.
+// parameters, NULLs) plus the lazy and static error shapes.
 
-// diffDB builds a fixture with NULLs, duplicate values, indexes and three
-// joinable tables.
-func diffDB(t testing.TB, seed int64) *DB {
+// diffSchema builds the fixture's three joinable tables and their indexes,
+// with no rows.
+func diffSchema(t testing.TB) *DB {
 	t.Helper()
 	db := NewDB()
 	mustExec(t, db, `CREATE TABLE jobs (id INT, title TEXT, city TEXT, company_id INT, salary INT, remote BOOL)`)
@@ -25,6 +25,14 @@ func diffDB(t testing.TB, seed int64) *DB {
 	mustExec(t, db, `CREATE TABLE apps (id INT, job_id INT, score FLOAT, status TEXT)`)
 	mustExec(t, db, `CREATE INDEX idx_city ON jobs (city)`)
 	mustExec(t, db, `CREATE ORDERED INDEX idx_salary ON jobs (salary)`)
+	return db
+}
+
+// diffDB builds a fixture with NULLs, duplicate values, indexes and three
+// joinable tables.
+func diffDB(t testing.TB, seed int64) *DB {
+	t.Helper()
+	db := diffSchema(t)
 	rng := rand.New(rand.NewSource(seed))
 	titles := []string{"Data Scientist", "ML Engineer", "Analyst", "it's odd", ""}
 	cities := []string{"Oakland", "Seattle", "Austin", "San Jose"}
@@ -61,11 +69,8 @@ func diffDB(t testing.TB, seed int64) *DB {
 // It returns the shared result for follow-up assertions.
 func runBoth(t *testing.T, db *DB, sql string, params ...any) *Result {
 	t.Helper()
-	db.SetCompileEnabled(true)
 	gotRes, gotErr := db.Query(sql, params...)
-	db.SetCompileEnabled(false)
-	wantRes, wantErr := db.Query(sql, params...)
-	db.SetCompileEnabled(true)
+	wantRes, wantErr := db.queryOracle(sql, params...)
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("%s: compiled err = %v, interpreted err = %v", sql, gotErr, wantErr)
 	}
@@ -95,11 +100,8 @@ func runBoth(t *testing.T, db *DB, sql string, params ...any) *Result {
 	// must describe the same path.
 	if up := strings.ToUpper(strings.TrimSpace(sql)); strings.HasPrefix(up, "SELECT") {
 		esql := "EXPLAIN " + sql
-		db.SetCompileEnabled(true)
 		gotE, gotErr := db.Query(esql, params...)
-		db.SetCompileEnabled(false)
-		wantE, wantErr := db.Query(esql, params...)
-		db.SetCompileEnabled(true)
+		wantE, wantErr := db.queryOracle(esql, params...)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("%s: compiled err = %v, interpreted err = %v", esql, gotErr, wantErr)
 		}
@@ -178,7 +180,7 @@ func TestDifferentialDialectSurface(t *testing.T) {
 		{`SELECT id FROM jobs LIMIT 100`, nil},
 		{`SELECT DISTINCT title FROM jobs ORDER BY title LIMIT 3`, nil},
 		{`SELECT DISTINCT title FROM jobs LIMIT 2`, nil},
-		{`SELECT DISTINCT city FROM jobs ORDER BY salary`, nil}, // runtime row-count quirk
+		{`SELECT DISTINCT city FROM jobs ORDER BY salary`, nil}, // static DISTINCT/ORDER BY error
 		{`SELECT city, COUNT(*) AS n FROM jobs GROUP BY city ORDER BY n DESC, city LIMIT 2`, nil},
 		{`SELECT city FROM jobs GROUP BY city ORDER BY salary`, nil}, // agg ORDER BY error
 		// Error shapes: lazy and eager resolution.
@@ -193,6 +195,145 @@ func TestDifferentialDialectSurface(t *testing.T) {
 	}
 	for _, c := range corpus {
 		runBoth(t, db, c.sql, c.params...)
+	}
+}
+
+// TestDifferentialFormerlyRefusedShapes covers every statement shape the
+// compiler once refused and left to the interpreter: unresolvable and
+// ambiguous references, missing tables, SELECT * with aggregates, an
+// aggregated ORDER BY on a non-output key and DISTINCT with an input-row
+// ORDER BY key. Each runs on an empty and on a populated fixture, since
+// lazy errors fire only when a row evaluates the reference.
+func TestDifferentialFormerlyRefusedShapes(t *testing.T) {
+	fixtures := []struct {
+		name string
+		db   func(testing.TB) *DB
+	}{
+		{"empty", diffSchema},
+		{"populated", func(t testing.TB) *DB { return diffDB(t, 41) }},
+	}
+	queries := []string{
+		// Unknown column in the select list, WHERE, GROUP BY, HAVING,
+		// ORDER BY and an aggregate argument.
+		`SELECT nope FROM jobs`,
+		`SELECT id, nope FROM jobs WHERE id < 5`,
+		`SELECT id FROM jobs WHERE nope = 1`,
+		`SELECT id FROM jobs WHERE city = 'Oakland' AND nope = 1`,
+		`SELECT id FROM jobs WHERE city = 'Nowhere' AND nope = 1`,
+		`SELECT id FROM jobs WHERE id = 1 OR nope = 1`,
+		`SELECT city, COUNT(*) FROM jobs GROUP BY nope`,
+		`SELECT city, COUNT(*) FROM jobs WHERE id > 1000 GROUP BY nope`,
+		`SELECT city, COUNT(*) FROM jobs GROUP BY city, nope`,
+		`SELECT city, COUNT(*) FROM jobs WHERE nope2 = 1 GROUP BY nope`,
+		`SELECT city, COUNT(*) FROM jobs WHERE id < 5 OR nope2 = 1 GROUP BY nope`,
+		`SELECT city, COUNT(*) FROM jobs GROUP BY city HAVING MAX(nope) > 1`,
+		`SELECT SUM(nope) FROM jobs`,
+		`SELECT id FROM jobs ORDER BY nope`,
+		`SELECT id FROM jobs ORDER BY nope LIMIT 3`,
+		`SELECT j.title FROM jobs j JOIN companies c ON j.nope = c.id`,
+		`SELECT j.title FROM jobs j JOIN companies c ON c.nope = j.id`,
+		`SELECT j.title, c.nope FROM jobs j JOIN companies c ON j.company_id = c.id`,
+		// Ambiguous column.
+		`SELECT id FROM jobs j JOIN companies c ON j.company_id = c.id`,
+		`SELECT j.id FROM jobs j JOIN companies c ON j.company_id = c.id WHERE id > 3`,
+		// Missing tables.
+		`SELECT id FROM missing`,
+		`SELECT j.id FROM jobs j JOIN missing m ON j.id = m.id`,
+		`SELECT DISTINCT id FROM missing ORDER BY salary`,
+		// SELECT * with an aggregate: raised after WHERE filtered every
+		// row, so a WHERE error still wins.
+		`SELECT *, COUNT(*) FROM jobs`,
+		`SELECT *, COUNT(*) FROM jobs GROUP BY city`,
+		`SELECT *, COUNT(*) FROM jobs GROUP BY nope`,
+		`SELECT *, COUNT(*) FROM jobs WHERE nope = 1`,
+		`SELECT *, COUNT(*) FROM jobs WHERE id < 5 OR nope = 1`,
+		// Aggregated ORDER BY on a non-output key: raised at the sort,
+		// after aggregation errors.
+		`SELECT city FROM jobs GROUP BY city ORDER BY salary`,
+		`SELECT city, COUNT(*) AS n FROM jobs GROUP BY city ORDER BY n, salary`,
+		`SELECT city, SUM(title) FROM jobs GROUP BY city ORDER BY salary`,
+		`SELECT COUNT(*) FROM jobs ORDER BY salary`,
+		// DISTINCT with an ORDER BY key outside the select list: a static
+		// error whether or not DISTINCT drops a row.
+		`SELECT DISTINCT city FROM jobs ORDER BY salary`,
+		`SELECT DISTINCT id FROM jobs ORDER BY salary`,
+		`SELECT DISTINCT city FROM jobs WHERE nope = 1 ORDER BY salary`,
+		`SELECT DISTINCT city, COUNT(*) AS n FROM jobs GROUP BY city ORDER BY salary`,
+		`SELECT DISTINCT j.city FROM jobs j ORDER BY j.city`,
+		`SELECT DISTINCT city AS c FROM jobs ORDER BY c`,
+		`SELECT DISTINCT * FROM companies ORDER BY size, id`,
+	}
+	const distinctErr = `relational: for SELECT DISTINCT, ORDER BY key "salary" must appear in the select list`
+	for _, fx := range fixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			db := fx.db(t)
+			for _, sql := range queries {
+				runBoth(t, db, sql)
+			}
+			for _, sql := range []string{
+				`SELECT DISTINCT city FROM jobs ORDER BY salary`,
+				`SELECT DISTINCT id FROM jobs ORDER BY salary LIMIT 3`,
+			} {
+				_, err := db.Query(sql)
+				if err == nil || err.Error() != distinctErr {
+					t.Fatalf("%s: err = %v, want %q", sql, err, distinctErr)
+				}
+			}
+
+			// DML: each mutation runs on its own pair of databases and the
+			// outcomes and final table states must agree.
+			for _, sql := range []string{
+				`UPDATE jobs SET salary = nope WHERE id = 3`,
+				`UPDATE jobs SET salary = nope`,
+				`UPDATE jobs SET nope = 1`,
+				`UPDATE jobs SET salary = 1, nope = 2 WHERE nope3 = 3`,
+				`UPDATE jobs SET salary = 1 WHERE nope = 1`,
+				`UPDATE jobs SET salary = 1 WHERE nope = 1 AND city = 'Nowhere'`,
+				`UPDATE missing SET a = 1`,
+				`DELETE FROM jobs WHERE nope = 1`,
+				`DELETE FROM jobs WHERE nope = 1 AND city = 'Nowhere'`,
+				`DELETE FROM jobs WHERE city = 'Oakland' AND nope = 1`,
+				`DELETE FROM jobs WHERE salary > 100000 OR nope = 1`,
+				`DELETE FROM missing`,
+				`INSERT INTO jobs VALUES (nope, 'x', 'y', 1, 2, TRUE)`,
+			} {
+				compiled, oracle := fx.db(t), fx.db(t)
+				nc, errC := compiled.Exec(sql)
+				no, errO := oracle.execOracle(sql)
+				if fmt.Sprint(errC) != fmt.Sprint(errO) || nc != no {
+					t.Fatalf("%s: compiled (%d, %v) vs oracle (%d, %v)", sql, nc, errC, no, errO)
+				}
+				a, err := compiled.Query(`SELECT * FROM jobs ORDER BY id`)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := oracle.queryOracle(`SELECT * FROM jobs ORDER BY id`)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(a.Rows) != len(b.Rows) || (len(a.Rows) > 0 && !reflect.DeepEqual(a.Rows, b.Rows)) {
+					t.Fatalf("%s: table states diverge", sql)
+				}
+			}
+
+			// A missing table heals once it is created: the prepared plan
+			// recompiles against the new schema version.
+			st, err := db.Prepare(`SELECT a, COUNT(*) AS n FROM later GROUP BY a ORDER BY a`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Query(); err == nil || !strings.Contains(err.Error(), "table not found") {
+				t.Fatalf("before CREATE: err = %v, want table not found", err)
+			}
+			mustExec(t, db, `CREATE TABLE later (a INT)`)
+			mustExec(t, db, `INSERT INTO later VALUES (2), (1), (2)`)
+			res, err := st.Query()
+			if err != nil || len(res.Rows) != 2 || res.Rows[1][1].I != 2 {
+				t.Fatalf("after CREATE: %v, %v", res, err)
+			}
+			runBoth(t, db, `SELECT a, COUNT(*) AS n FROM later GROUP BY a ORDER BY a`)
+			mustExec(t, db, `DROP TABLE later`)
+		})
 	}
 }
 
@@ -259,10 +400,9 @@ func TestDifferentialDML(t *testing.T) {
 	}
 	compiled := diffDB(t, 31)
 	interp := diffDB(t, 31)
-	interp.SetCompileEnabled(false)
 	for _, m := range mutations {
 		nc, errC := compiled.Exec(m.sql, m.params...)
-		ni, errI := interp.Exec(m.sql, m.params...)
+		ni, errI := interp.execOracle(m.sql, m.params...)
 		if (errC == nil) != (errI == nil) || nc != ni {
 			t.Fatalf("%s: compiled (%d, %v) vs interpreted (%d, %v)", m.sql, nc, errC, ni, errI)
 		}

@@ -1,19 +1,17 @@
 package relational
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // execInsert evaluates row expressions (literals and parameters only) and
-// appends them, honoring an optional explicit column list.
+// appends them, honoring an optional explicit column list. The expressions
+// compile against an empty layout, so a column reference raises its
+// resolution error.
 func (db *DB) execInsert(ins *InsertStmt, params []Value) (*Result, error) {
 	t, err := db.table(ins.Table)
 	if err != nil {
 		return nil, err
 	}
 	n := 0
-	e := &env{}
 	for _, exprRow := range ins.Rows {
 		row := make(Row, len(t.schema.Columns))
 		for i := range row {
@@ -28,7 +26,7 @@ func (db *DB) execInsert(ins *InsertStmt, params []Value) (*Result, error) {
 				if ci < 0 {
 					return nil, fmt.Errorf("%w: %s.%s", ErrColumnUnknown, ins.Table, cn)
 				}
-				v, err := eval(e, exprRow[i], params)
+				v, err := compileExpr(nil, exprRow[i])(nil, params)
 				if err != nil {
 					return nil, err
 				}
@@ -39,7 +37,7 @@ func (db *DB) execInsert(ins *InsertStmt, params []Value) (*Result, error) {
 				return nil, fmt.Errorf("%w: %d values for %d columns", ErrArity, len(exprRow), len(t.schema.Columns))
 			}
 			for i, ex := range exprRow {
-				v, err := eval(e, ex, params)
+				v, err := compileExpr(nil, ex)(nil, params)
 				if err != nil {
 					return nil, err
 				}
@@ -48,116 +46,6 @@ func (db *DB) execInsert(ins *InsertStmt, params []Value) (*Result, error) {
 		}
 		if err := t.insert(row); err != nil {
 			return nil, err
-		}
-		n++
-	}
-	return affected(n), nil
-}
-
-// execUpdateInterp rewrites matching rows in place, maintaining indexes,
-// evaluating the WHERE predicate and SET expressions through the interpreted
-// evaluator. The compiled path (compile.go) mirrors this loop with
-// offset-resolved closures; this version is its semantic oracle.
-func (db *DB) execUpdateInterp(up *UpdateStmt, params []Value) (*Result, error) {
-	t, err := db.table(up.Table)
-	if err != nil {
-		return nil, err
-	}
-	// Resolve SET targets first.
-	type setTarget struct {
-		col  int
-		expr Expr
-	}
-	targets := make([]setTarget, 0, len(up.Set))
-	for _, sc := range up.Set {
-		ci := t.schema.ColIndex(sc.Column)
-		if ci < 0 {
-			return nil, fmt.Errorf("%w: %s.%s", ErrColumnUnknown, up.Table, sc.Column)
-		}
-		targets = append(targets, setTarget{col: ci, expr: sc.Value})
-	}
-	cols := make([]envCol, len(t.schema.Columns))
-	baseName := strings.ToLower(up.Table)
-	for i, c := range t.schema.Columns {
-		cols[i] = envCol{table: baseName, name: strings.ToLower(c.Name)}
-	}
-	e := &env{cols: cols}
-
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for id := range t.rows {
-		if !t.live[id] {
-			continue
-		}
-		e.row = t.rows[id]
-		if up.Where != nil {
-			v, err := eval(e, up.Where, params)
-			if err != nil {
-				return nil, err
-			}
-			if !truthy(v) {
-				continue
-			}
-		}
-		for _, tg := range targets {
-			nv, err := eval(e, tg.expr, params)
-			if err != nil {
-				return nil, err
-			}
-			cv, err := coerce(nv, t.schema.Columns[tg.col].Type)
-			if err != nil {
-				return nil, fmt.Errorf("column %q: %w", t.schema.Columns[tg.col].Name, err)
-			}
-			old := t.rows[id][tg.col]
-			for _, ix := range t.indexes {
-				if ix.col == tg.col {
-					ix.remove(id, old)
-					ix.add(id, cv)
-				}
-			}
-			t.rows[id][tg.col] = cv
-		}
-		n++
-	}
-	return affected(n), nil
-}
-
-// execDeleteInterp tombstones matching rows and removes them from indexes,
-// evaluating WHERE through the interpreted evaluator.
-func (db *DB) execDeleteInterp(del *DeleteStmt, params []Value) (*Result, error) {
-	t, err := db.table(del.Table)
-	if err != nil {
-		return nil, err
-	}
-	cols := make([]envCol, len(t.schema.Columns))
-	baseName := strings.ToLower(del.Table)
-	for i, c := range t.schema.Columns {
-		cols[i] = envCol{table: baseName, name: strings.ToLower(c.Name)}
-	}
-	e := &env{cols: cols}
-
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for id := range t.rows {
-		if !t.live[id] {
-			continue
-		}
-		e.row = t.rows[id]
-		if del.Where != nil {
-			v, err := eval(e, del.Where, params)
-			if err != nil {
-				return nil, err
-			}
-			if !truthy(v) {
-				continue
-			}
-		}
-		t.live[id] = false
-		t.liveCnt--
-		for _, ix := range t.indexes {
-			ix.remove(id, t.rows[id][ix.col])
 		}
 		n++
 	}

@@ -25,7 +25,7 @@ import (
 //     durability.WithSnapshotBarrier). Failing statements are logged too:
 //     a multi-row INSERT or an UPDATE can error midway with earlier rows
 //     already applied, and deterministic replay reproduces exactly that
-//     partial effect. Statements executed through DB.Run or the direct
+//     partial effect. Statements executed through the direct
 //     catalog APIs (CreateTable, Insert, ...) bypass logging; durable
 //     deployments use the SQL surface.
 //   - Appends are asynchronous: a successful Exec is durable after the
@@ -311,6 +311,7 @@ func (db *DB) Restore(r io.Reader) error {
 	db.order = order
 	db.vers = vers
 	db.schemaSeq = schemaSeq
+	db.restores++
 	db.mu.Unlock()
 	db.stmts.flushAll()
 	return nil

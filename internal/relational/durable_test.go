@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -296,4 +297,36 @@ func BenchmarkDurableWrite(b *testing.B) {
 		}
 		run(b, db)
 	})
+}
+
+// TestRestoreRecompilesPreparedPlans: Restore installs new table objects
+// under the snapshot's schema versions, which can equal the versions a live
+// prepared plan compiled against. The plan must still recompile and read
+// the restored rows.
+func TestRestoreRecompilesPreparedPlans(t *testing.T) {
+	src := NewDB()
+	mustExec(t, src, `CREATE TABLE t (a INT, b TEXT)`)
+	mustExec(t, src, `INSERT INTO t VALUES (1, 'restored')`)
+	var snap bytes.Buffer
+	if err := src.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+
+	db := NewDB()
+	mustExec(t, db, `CREATE TABLE t (a INT, b TEXT)`) // same schema version as src's t
+	mustExec(t, db, `INSERT INTO t VALUES (1, 'live')`)
+	st, err := db.Prepare(`SELECT b FROM t WHERE a = 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := st.Query(); err != nil || res.Rows[0][0].S != "live" {
+		t.Fatalf("before restore: %v, %v", res, err)
+	}
+	if err := db.Restore(&snap); err != nil {
+		t.Fatal(err)
+	}
+	res, err := st.Query()
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].S != "restored" {
+		t.Fatalf("after restore: %v, %v", res, err)
+	}
 }

@@ -9,8 +9,7 @@ import (
 )
 
 // Process-wide SQL instruments: every statement executed through the engine
-// (Query/Exec/Prepare and the Run path alike — runLogged is the single
-// funnel) counts and, while the telemetry plane is on, observes its latency.
+// (Query/Exec/Prepare alike — runLogged is the single funnel) counts and, while the telemetry plane is on, observes its latency.
 var (
 	mStatements = obs.Default.Counter("blueprint_sql_statements_total", "SQL statements executed through the relational engine")
 	mSQLLatency = obs.Default.Histogram("blueprint_sql_latency_seconds", "relational statement execution latency", obs.LatencyBuckets)

@@ -1,17 +1,56 @@
 package relational
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 )
 
+// The interpreted evaluator: the semantic oracle of the compiled executor
+// (compile.go). It resolves every column reference per row by name and
+// walks the AST per evaluation, so its semantics are easy to read off the
+// code. The differential, fingerprint and property tests run statements
+// through both executors and require identical columns, rows, plans and
+// error text; the *Interpreted benchmarks measure what compilation saves.
+
+// queryOracle parses, binds and executes sql like DB.Query, but runs
+// SELECT, UPDATE and DELETE through the interpreted evaluator. Other
+// statements take the production path.
+func (db *DB) queryOracle(sql string, params ...any) (*Result, error) {
+	st, slot, binder, err := db.parseCached(sql)
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]Value, len(params))
+	for i, p := range params {
+		vals[i] = FromGo(p)
+	}
+	bound := binder.bind(vals)
+	switch s := st.(type) {
+	case *SelectStmt:
+		return db.execSelectInterp(s, bound)
+	case *UpdateStmt:
+		return db.execUpdateInterp(s, bound)
+	case *DeleteStmt:
+		return db.execDeleteInterp(s, bound)
+	default:
+		return db.runVals(st, slot, bound)
+	}
+}
+
+// execOracle is queryOracle reporting the affected-row count, like DB.Exec.
+func (db *DB) execOracle(sql string, params ...any) (int, error) {
+	res, err := db.queryOracle(sql, params...)
+	if err != nil {
+		return 0, err
+	}
+	return affectedCount(res), nil
+}
+
 // execSelectInterp runs a SELECT through the interpreted evaluator:
 // access-path planning, joins, filtering, aggregation, projection, DISTINCT,
-// ordering and limiting, resolving column references per row. It is the
-// semantic oracle for the compiled path (compile.go) — differential tests
-// assert both agree — and serves statements the compiler refuses as well as
-// direct Run calls.
+// ordering and limiting, resolving column references per row.
 func (db *DB) execSelectInterp(sel *SelectStmt, params []Value) (*Result, error) {
 	base, err := db.table(sel.From.Table)
 	if err != nil {
@@ -120,6 +159,9 @@ func (db *DB) execSelectInterp(sel *SelectStmt, params []Value) (*Result, error)
 		}
 		planLines = append(planLines, fmt.Sprintf("%s(%s ON %s = %s)", kind, j.Table.Name(), j.LCol.String(), j.RCol.String()))
 	}
+	if err := distinctOrderErr(sel, outputColumns(sel.Items, pretty)); err != nil {
+		return nil, err
+	}
 
 	// Filter.
 	if sel.Where != nil {
@@ -227,16 +269,6 @@ func project(sel *SelectStmt, rows []Row, cols []envCol, pretty []string, params
 		res.Rows = append(res.Rows, or)
 	}
 	return res, nil
-}
-
-func itemName(it SelectItem) string {
-	if it.Alias != "" {
-		return it.Alias
-	}
-	if c, ok := it.Expr.(*ColumnRef); ok {
-		return c.Column
-	}
-	return exprString(it.Expr)
 }
 
 // aggregate groups rows by the GROUP BY keys (or a single global group) and
@@ -427,21 +459,6 @@ func computeAgg(e *env, a *AggExpr, rows []Row, params []Value) (Value, error) {
 	}
 }
 
-func distinctRows(rows []Row) []Row {
-	seen := make(map[string]struct{}, len(rows))
-	out := rows[:0:0]
-	var scratch []byte
-	for _, r := range rows {
-		scratch = appendRowKey(scratch[:0], r)
-		if _, dup := seen[string(scratch)]; dup {
-			continue
-		}
-		seen[string(scratch)] = struct{}{}
-		out = append(out, r)
-	}
-	return out
-}
-
 // orderResult sorts the projected rows. ORDER BY keys naming an output
 // column (or alias) sort on the output; otherwise, for non-aggregated
 // queries, the key is evaluated against the underlying input row.
@@ -502,4 +519,375 @@ func orderResult(sel *SelectStmt, out *Result, cols []envCol, inputRows []Row, p
 	}
 	out.Rows = sorted
 	return nil
+}
+
+// env carries the column environment of the current row during evaluation.
+type env struct {
+	cols []envCol
+	row  Row
+}
+
+func (e *env) resolve(c *ColumnRef) (int, error) {
+	return resolveCol(e.cols, c)
+}
+
+// eval evaluates a scalar expression in the environment.
+func eval(e *env, x Expr, params []Value) (Value, error) {
+	switch v := x.(type) {
+	case *Literal:
+		return v.Val, nil
+	case *Param:
+		if v.Ordinal-1 >= len(params) || params[v.Ordinal-1].T == missingParamType {
+			return Null, fmt.Errorf("relational: missing parameter %d", paramSrc(v))
+		}
+		return params[v.Ordinal-1], nil
+	case *ColumnRef:
+		i, err := e.resolve(v)
+		if err != nil {
+			return Null, err
+		}
+		return e.row[i], nil
+	case *BinaryExpr:
+		return evalBinary(e, v, params)
+	case *UnaryExpr:
+		val, err := eval(e, v.E, params)
+		if err != nil {
+			return Null, err
+		}
+		return NewBool(!truthy(val)), nil
+	case *InExpr:
+		val, err := eval(e, v.E, params)
+		if err != nil {
+			return Null, err
+		}
+		hit := false
+		for _, item := range v.List {
+			iv, err := eval(e, item, params)
+			if err != nil {
+				return Null, err
+			}
+			if Equal(val, iv) {
+				hit = true
+				break
+			}
+		}
+		return NewBool(hit != v.Not), nil
+	case *BetweenExpr:
+		val, err := eval(e, v.E, params)
+		if err != nil {
+			return Null, err
+		}
+		lo, err := eval(e, v.Lo, params)
+		if err != nil {
+			return Null, err
+		}
+		hi, err := eval(e, v.Hi, params)
+		if err != nil {
+			return Null, err
+		}
+		in := !val.IsNull() && !lo.IsNull() && !hi.IsNull() &&
+			Compare(val, lo) >= 0 && Compare(val, hi) <= 0
+		return NewBool(in != v.Not), nil
+	case *IsNullExpr:
+		val, err := eval(e, v.E, params)
+		if err != nil {
+			return Null, err
+		}
+		return NewBool(val.IsNull() != v.Not), nil
+	case *AggExpr:
+		return Null, errors.New("relational: aggregate outside aggregation context")
+	default:
+		return Null, errors.New("relational: unsupported expression")
+	}
+}
+
+func evalBinary(e *env, v *BinaryExpr, params []Value) (Value, error) {
+	switch v.Op {
+	case "AND":
+		l, err := eval(e, v.L, params)
+		if err != nil {
+			return Null, err
+		}
+		if !truthy(l) {
+			return NewBool(false), nil
+		}
+		r, err := eval(e, v.R, params)
+		if err != nil {
+			return Null, err
+		}
+		return NewBool(truthy(r)), nil
+	case "OR":
+		l, err := eval(e, v.L, params)
+		if err != nil {
+			return Null, err
+		}
+		if truthy(l) {
+			return NewBool(true), nil
+		}
+		r, err := eval(e, v.R, params)
+		if err != nil {
+			return Null, err
+		}
+		return NewBool(truthy(r)), nil
+	}
+	l, err := eval(e, v.L, params)
+	if err != nil {
+		return Null, err
+	}
+	r, err := eval(e, v.R, params)
+	if err != nil {
+		return Null, err
+	}
+	return compareValues(v.Op, l, r)
+}
+
+// snapshot returns live rows and their ids under the table read lock.
+func (t *table) snapshot() ([]int, []Row) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	ids := make([]int, 0, t.liveCnt)
+	rows := make([]Row, 0, t.liveCnt)
+	for id, r := range t.rows {
+		if t.live[id] {
+			ids = append(ids, id)
+			rows = append(rows, r)
+		}
+	}
+	return ids, rows
+}
+
+// planAccess inspects WHERE conjuncts for a sargable predicate over an
+// indexed column of the base table and returns matching row ids. The full
+// WHERE is still applied afterwards, so the index is purely an accelerator.
+func (t *table) planAccess(baseName string, where Expr, params []Value) accessPath {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if where == nil || len(t.indexes) == 0 {
+		return accessPath{desc: "SeqScan(" + t.name + ")", all: true}
+	}
+	conjuncts := splitAnd(where)
+	type candidate struct {
+		rank int // lower is better: 0 equality, 1 IN, 2 range
+		desc string
+		ids  []int
+	}
+	var best *candidate
+	consider := func(c candidate) {
+		if best == nil || c.rank < best.rank || (c.rank == best.rank && len(c.ids) < len(best.ids)) {
+			cc := c
+			best = &cc
+		}
+	}
+	colFor := func(e Expr) *indexDef {
+		cr, ok := e.(*ColumnRef)
+		if !ok {
+			return nil
+		}
+		if cr.Table != "" && !strings.EqualFold(cr.Table, baseName) {
+			return nil
+		}
+		return t.indexes[strings.ToLower(cr.Column)]
+	}
+	constVal := func(e Expr) (Value, bool) {
+		switch x := e.(type) {
+		case *Literal:
+			return x.Val, true
+		case *Param:
+			if x.Ordinal-1 < len(params) && params[x.Ordinal-1].T != missingParamType {
+				return params[x.Ordinal-1], true
+			}
+		}
+		return Null, false
+	}
+	for _, cj := range conjuncts {
+		switch x := cj.(type) {
+		case *BinaryExpr:
+			ix := colFor(x.L)
+			v, ok := constVal(x.R)
+			if ix == nil || !ok || v.IsNull() {
+				// try flipped: literal op column
+				ix = colFor(x.R)
+				if ix == nil {
+					continue
+				}
+				v2, ok2 := constVal(x.L)
+				if !ok2 || v2.IsNull() {
+					continue
+				}
+				// flip operator
+				op, okf := flippedOp[x.Op]
+				if !okf {
+					continue
+				}
+				x = &BinaryExpr{Op: op, L: x.R, R: x.L}
+				v = v2
+			}
+			switch x.Op {
+			case "=":
+				ids := ix.lookupEqLocked(v)
+				// Concatenation instead of fmt.Sprintf: this is the hot
+				// equality path and Sprintf's reflection is measurable there.
+				consider(candidate{rank: 0, desc: "IndexScan(" + t.name + "." + ix.column + " = " + v.String() + ", " + ix.kind.String() + ")", ids: ids})
+			case "<", "<=":
+				if ix.kind == OrderedIndex {
+					ids := ix.order.lookupRange(Null, v, false, x.Op == "<")
+					consider(candidate{rank: 2, desc: fmt.Sprintf("IndexRange(%s.%s %s %s)", t.name, ix.column, x.Op, v), ids: ids})
+				}
+			case ">", ">=":
+				if ix.kind == OrderedIndex {
+					ids := ix.order.lookupRange(v, Null, x.Op == ">", false)
+					consider(candidate{rank: 2, desc: fmt.Sprintf("IndexRange(%s.%s %s %s)", t.name, ix.column, x.Op, v), ids: ids})
+				}
+			}
+		case *InExpr:
+			if x.Not {
+				continue
+			}
+			ix := colFor(x.E)
+			if ix == nil {
+				continue
+			}
+			var ids []int
+			ok := true
+			for _, item := range x.List {
+				v, o := constVal(item)
+				if !o {
+					ok = false
+					break
+				}
+				ids = append(ids, ix.lookupEqLocked(v)...)
+			}
+			if ok {
+				consider(candidate{rank: 1, desc: fmt.Sprintf("IndexScan(%s.%s IN [%d values], %s)", t.name, ix.column, len(x.List), ix.kind), ids: dedupInts(ids)})
+			}
+		case *BetweenExpr:
+			if x.Not {
+				continue
+			}
+			ix := colFor(x.E)
+			if ix == nil || ix.kind != OrderedIndex {
+				continue
+			}
+			lo, ok1 := constVal(x.Lo)
+			hi, ok2 := constVal(x.Hi)
+			if !ok1 || !ok2 {
+				continue
+			}
+			ids := ix.order.lookupRange(lo, hi, false, false)
+			consider(candidate{rank: 2, desc: fmt.Sprintf("IndexRange(%s.%s BETWEEN %s AND %s)", t.name, ix.column, lo, hi), ids: ids})
+		}
+	}
+	if best == nil {
+		return accessPath{desc: "SeqScan(" + t.name + ")", all: true}
+	}
+	return accessPath{desc: best.desc, ids: best.ids}
+}
+
+// execUpdateInterp rewrites matching rows in place, maintaining indexes,
+// evaluating the WHERE predicate and SET expressions through the interpreted
+// evaluator over a full scan.
+func (db *DB) execUpdateInterp(up *UpdateStmt, params []Value) (*Result, error) {
+	t, err := db.table(up.Table)
+	if err != nil {
+		return nil, err
+	}
+	// Resolve SET targets first.
+	type setTarget struct {
+		col  int
+		expr Expr
+	}
+	targets := make([]setTarget, 0, len(up.Set))
+	for _, sc := range up.Set {
+		ci := t.schema.ColIndex(sc.Column)
+		if ci < 0 {
+			return nil, fmt.Errorf("%w: %s.%s", ErrColumnUnknown, up.Table, sc.Column)
+		}
+		targets = append(targets, setTarget{col: ci, expr: sc.Value})
+	}
+	cols := make([]envCol, len(t.schema.Columns))
+	baseName := strings.ToLower(up.Table)
+	for i, c := range t.schema.Columns {
+		cols[i] = envCol{table: baseName, name: strings.ToLower(c.Name)}
+	}
+	e := &env{cols: cols}
+
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := 0
+	for id := range t.rows {
+		if !t.live[id] {
+			continue
+		}
+		e.row = t.rows[id]
+		if up.Where != nil {
+			v, err := eval(e, up.Where, params)
+			if err != nil {
+				return nil, err
+			}
+			if !truthy(v) {
+				continue
+			}
+		}
+		for _, tg := range targets {
+			nv, err := eval(e, tg.expr, params)
+			if err != nil {
+				return nil, err
+			}
+			cv, err := coerce(nv, t.schema.Columns[tg.col].Type)
+			if err != nil {
+				return nil, fmt.Errorf("column %q: %w", t.schema.Columns[tg.col].Name, err)
+			}
+			old := t.rows[id][tg.col]
+			for _, ix := range t.indexes {
+				if ix.col == tg.col {
+					ix.remove(id, old)
+					ix.add(id, cv)
+				}
+			}
+			t.rows[id][tg.col] = cv
+		}
+		n++
+	}
+	return affected(n), nil
+}
+
+// execDeleteInterp tombstones matching rows and removes them from indexes,
+// evaluating WHERE through the interpreted evaluator.
+func (db *DB) execDeleteInterp(del *DeleteStmt, params []Value) (*Result, error) {
+	t, err := db.table(del.Table)
+	if err != nil {
+		return nil, err
+	}
+	cols := make([]envCol, len(t.schema.Columns))
+	baseName := strings.ToLower(del.Table)
+	for i, c := range t.schema.Columns {
+		cols[i] = envCol{table: baseName, name: strings.ToLower(c.Name)}
+	}
+	e := &env{cols: cols}
+
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := 0
+	for id := range t.rows {
+		if !t.live[id] {
+			continue
+		}
+		e.row = t.rows[id]
+		if del.Where != nil {
+			v, err := eval(e, del.Where, params)
+			if err != nil {
+				return nil, err
+			}
+			if !truthy(v) {
+				continue
+			}
+		}
+		t.live[id] = false
+		t.liveCnt--
+		for _, ix := range t.indexes {
+			ix.remove(id, t.rows[id][ix.col])
+		}
+		n++
+	}
+	return affected(n), nil
 }

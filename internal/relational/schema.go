@@ -126,15 +126,17 @@ type DB struct {
 	// access path is chosen at execution time.
 	vers      map[string]uint64
 	schemaSeq uint64
+	// restores counts Restore calls. A restored catalog installs new table
+	// objects under the snapshot's versions, which plans compiled before
+	// the restore may share, so plans record this count as well.
+	restores uint64
 	// stmts amortizes lexing/parsing across repeated Query/Exec/Prepare
 	// calls; DDL flushes the altered table's statements (see stmt.go).
 	stmts *stmtCache
-	// noCompile forces interpreted execution (see SetCompileEnabled);
 	// noShape forces exact-text cache keys (see SetShapeCacheEnabled);
 	// compiles counts plan compilations for CacheStats.
-	noCompile atomic.Bool
-	noShape   atomic.Bool
-	compiles  atomic.Uint64
+	noShape  atomic.Bool
+	compiles atomic.Uint64
 
 	writeMu sync.RWMutex
 	onWrite []func(table string)
@@ -153,7 +155,7 @@ func (db *DB) bumpVersionLocked(key string) {
 
 // OnWrite registers fn, invoked after every successfully executed statement
 // that mutates the named table — DML (INSERT/UPDATE/DELETE) and DDL alike,
-// through Query/Exec, prepared statements and Run. The blueprint system
+// through Query/Exec and prepared statements. The blueprint system
 // wires this to the data registry's Touch, so a data change bumps the
 // table's asset version and invalidates memoized step results that read it.
 func (db *DB) OnWrite(fn func(table string)) {

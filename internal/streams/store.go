@@ -65,8 +65,6 @@ type Store struct {
 type Options struct {
 	// WALPath enables write-ahead-log persistence to the given file.
 	WALPath string
-	// SubscriberBuffer is the per-subscription channel buffer (default 256).
-	SubscriberBuffer int
 }
 
 // NewStore creates an empty streams database.
