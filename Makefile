@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check bench bench-1x bench-smoke chaos fuzz ci
+.PHONY: all build test race vet fmt-check bench bench-1x bench-smoke chaos fuzz loc ci
 
 all: build
 
@@ -90,5 +90,11 @@ bench-smoke:
 # where concurrency bugs hide.
 chaos:
 	$(GO) test -race -run Chaos ./...
+
+# Go line counts, non-test and test, excluding perfbench/ (its own module)
+# and hidden directories: the figures CHANGES.md reports.
+loc:
+	@printf 'non-test %s\n' "$$(find . -path ./perfbench -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
+	@printf 'test     %s\n' "$$(find . -path ./perfbench -prune -o -path './.*' -prune -o -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
 
 ci: fmt-check vet build race chaos bench-1x bench-smoke

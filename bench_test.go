@@ -7,7 +7,6 @@ package blueprint_test
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +16,7 @@ import (
 	"blueprint/internal/budget"
 	"blueprint/internal/cluster"
 	"blueprint/internal/dataplan"
+	"blueprint/internal/durability"
 	"blueprint/internal/graphstore"
 	"blueprint/internal/llm"
 	"blueprint/internal/optimizer"
@@ -410,14 +410,24 @@ func BenchmarkAblation_StreamsAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_StreamsAppendWAL measures appends with write-ahead-log
-// persistence enabled.
+// BenchmarkAblation_StreamsAppendWAL measures appends logged to the shared
+// durability engine on a temporary data directory, the path
+// Config.DataDir turns on.
 func BenchmarkAblation_StreamsAppendWAL(b *testing.B) {
-	store, err := streams.Open(streams.Options{WALPath: filepath.Join(b.TempDir(), "bench.wal")})
+	const subStreams = 1
+	store := streams.NewStore()
+	eng, err := durability.Open(b.TempDir(), durability.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(func() { store.Close() })
+	b.Cleanup(func() { store.Close(); eng.Close() })
+	if err := eng.Register(subStreams, "streams", store); err != nil {
+		b.Fatal(err)
+	}
+	store.SetDurable(eng.Logger(subStreams).Append)
+	if err := eng.Recover(); err != nil {
+		b.Fatal(err)
+	}
 	if _, err := store.CreateStream("s", streams.StreamInfo{}); err != nil {
 		b.Fatal(err)
 	}

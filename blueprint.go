@@ -59,7 +59,8 @@
 // version bumps invalidate entries automatically (and poison in-flight
 // executions, so stale results are never cached or shared). Tune with
 // Config.MemoCapacity / Config.DisableMemo, observe through
-// System.MemoStats, blueprintd's GET /memo, `bpctl memo <utterance>`, and
+// System.MemoStats, the blueprint_memo_* series of blueprintd's GET
+// /metrics, `bpctl memo <utterance>` (which adds saved cost and latency), and
 // `go run ./cmd/benchharness -fig A6`.
 //
 // # Durability and warm restarts
@@ -70,14 +71,15 @@
 // (logical DML/DDL records, table + schema-version snapshots), the memo
 // store (cacheable step results, version-checked at restore against the
 // recovered registries), both registries (snapshot-only) and the streams
-// store (its stand-alone JSON WAL migrated onto the shared engine). A
+// store (every stream creation and message; its only persistence path). A
 // restarted System recovers all of it — snapshot restore plus log replay,
 // with a torn final record truncated rather than fatal — so a repeated
 // ask after a restart is a memo hit instead of a cold re-execution.
 // System.Close flushes a final snapshot; Config.SnapshotEvery adds
 // background snapshots that bound recovery time and truncate the log.
-// Observe through System.DurabilityStats, blueprintd's /stats and POST
-// /snapshot (with -data-dir and graceful SIGINT/SIGTERM shutdown), `bpctl
+// Observe through System.DurabilityStats, blueprintd's startup log (the
+// recovery summary), the blueprint_durability_* series of GET /metrics and
+// POST /snapshot (with -data-dir and graceful SIGINT/SIGTERM shutdown), `bpctl
 // -data-dir D snapshot`, and `go run ./cmd/benchharness -fig A8` (crash
 // replay vs snapshot restore, warm-memo hit rate across restart).
 package blueprint
@@ -110,10 +112,6 @@ type Config struct {
 	ModelTier llm.Tier
 	// ModelAccuracy overrides the tier's accuracy when in (0, 1].
 	ModelAccuracy float64
-	// WALPath enables stand-alone stream persistence to the given file
-	// (legacy single-file JSON WAL). Ignored when DataDir is set — the
-	// shared durability engine then persists streams too.
-	WALPath string
 	// DataDir enables the durability subsystem: one segmented write-ahead
 	// log + snapshot directory shared by the relational engine, the memo
 	// store, both registries and the streams store. Opening a System over

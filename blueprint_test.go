@@ -200,45 +200,6 @@ func TestDuplicateSessionID(t *testing.T) {
 	}
 }
 
-func TestWALPersistenceThroughFacade(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/blueprint.wal"
-	sys, err := New(Config{WALPath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := sys.StartSession("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Ask("How many jobs are in Oakland?", 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	sid := s.ID
-	s.Close()
-	sys.Close()
-
-	// Recover and replay the conversation.
-	store, err := streams.Open(streams.Options{WALPath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	history := store.History(sid)
-	if len(history) < 5 {
-		t.Fatalf("recovered history = %d messages", len(history))
-	}
-	found := false
-	for _, m := range history {
-		if strings.Contains(m.PayloadString(), "How many jobs are in Oakland?") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("utterance not recovered from WAL")
-	}
-}
-
 func TestAskTimeout(t *testing.T) {
 	sys, err := New(Config{DisableStandardAgents: true})
 	if err != nil {

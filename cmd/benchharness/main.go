@@ -1,4 +1,5 @@
-// benchharness regenerates every figure of the paper as a measured table.
+// benchharness regenerates every figure of the paper as a measured table,
+// one per entry of experiments.Registry.
 //
 // Usage:
 //
@@ -30,61 +31,36 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "experiment id to run (F1..F10, A1..A6, A8..A12, or 'all')")
+	var ids []string
+	for _, e := range experiments.Registry {
+		ids = append(ids, e.ID)
+	}
+	usage := strings.Join(ids, ", ")
+	fig := flag.String("fig", "all", "experiment id to run ("+usage+", or 'all')")
 	seed := flag.Int64("seed", 42, "deterministic seed for workloads and the simulated LLM")
 	short := flag.Bool("short", false, "smoke mode: reduced iterations and simulated latencies")
 	jsonDir := flag.String("json", "", "directory to write BENCH_<ID>.json files (empty: text only)")
 	flag.Parse()
 	experiments.Short = *short
 
-	runners := map[string]func(int64) (*experiments.Table, error){
-		"F1":  experiments.Fig1EndToEnd,
-		"F2":  experiments.Fig2Deployment,
-		"F3":  experiments.Fig3AgentModel,
-		"F4":  experiments.Fig4PetriTriggering,
-		"F5":  experiments.Fig5DataRegistry,
-		"F6":  experiments.Fig6TaskPlan,
-		"F7":  experiments.Fig7DataPlan,
-		"F8":  experiments.Fig8Conversation,
-		"F9":  experiments.Fig9UIFlow,
-		"F10": experiments.Fig10ConversationFlow,
-		"A1":  experiments.AblationBudget,
-		"A2":  experiments.AblationOptimizer,
-		"A3":  experiments.AblationStreams,
-		"A4":  experiments.AblationPlanCache,
-		"A5":  experiments.AblationScheduler,
-		"A6":  experiments.AblationMemo,
-		"A8":  experiments.AblationDurability,
-		"A9":  experiments.FrontendShapeCache,
-		"A10": experiments.AblationObservability,
-		"A11": experiments.AblationResilience,
-		"A12": experiments.FlightRecorder,
-	}
-
-	if strings.EqualFold(*fig, "all") {
-		tables, err := experiments.All(*seed)
-		for _, t := range tables {
-			fmt.Println(t)
-			if werr := writeJSON(*jsonDir, t); werr != nil {
-				log.Fatal(werr)
-			}
+	all := strings.EqualFold(*fig, "all")
+	ran := false
+	for _, e := range experiments.Registry {
+		if !all && !strings.EqualFold(e.ID, *fig) {
+			continue
 		}
+		ran = true
+		t, err := e.Run(*seed)
 		if err != nil {
+			log.Fatalf("experiment %s: %v", e.ID, err)
+		}
+		fmt.Println(t)
+		if err := writeJSON(*jsonDir, t); err != nil {
 			log.Fatal(err)
 		}
-		return
 	}
-	run, ok := runners[strings.ToUpper(*fig)]
-	if !ok {
-		log.Fatalf("unknown experiment %q (want F1..F10, A1..A6, A8..A12, all)", *fig)
-	}
-	t, err := run(*seed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(t)
-	if err := writeJSON(*jsonDir, t); err != nil {
-		log.Fatal(err)
+	if !ran {
+		log.Fatalf("unknown experiment %q (want %s, or all)", *fig, usage)
 	}
 }
 

@@ -49,7 +49,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	seed := flag.Int64("seed", 42, "deterministic seed")
-	walPath := flag.String("wal", "", "optional stand-alone stream WAL path (superseded by -data-dir)")
 	dataDir := flag.String("data-dir", "", "durability directory: shared WAL + snapshots for warm restarts")
 	snapEvery := flag.Duration("snapshot-every", time.Minute, "background snapshot interval when -data-dir is set (0 = only on shutdown)")
 	parallel := flag.Int("parallel", 0, "max concurrently executing steps per plan (0 = default)")
@@ -70,7 +69,7 @@ func main() {
 	flag.Parse()
 
 	sys, err := blueprint.New(blueprint.Config{
-		Seed: *seed, ModelAccuracy: 1.0, WALPath: *walPath,
+		Seed: *seed, ModelAccuracy: 1.0,
 		DataDir: *dataDir, SnapshotEvery: *snapEvery,
 		MaxParallel: *parallel, MemoCapacity: *memoCap, DisableMemo: *noMemo,
 		Governor: resilience.GovernorConfig{

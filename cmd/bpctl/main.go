@@ -17,7 +17,7 @@
 //	bpctl stats                       # statement-cache counters (shape keying)
 //	bpctl -data-dir D snapshot        # take a durability snapshot + print stats
 //	bpctl [-addr URL] trace <session> # span tree of a session on a running daemon
-//	bpctl [-addr URL] top             # live ask rate, latency quantiles, cache ratios, SLO burn
+//	bpctl [-addr URL] top             # scrape /metrics + /slo: ask rate, latency quantiles, cache ratios, SLO burn
 //	bpctl [-addr URL] events [level]  # structured event log (optionally filtered by min level)
 //	bpctl [-addr URL] slow [id]       # slow-ask exemplars: list, or one full flight recording
 //
@@ -26,7 +26,7 @@
 // mutates durably and `bpctl -data-dir D snapshot` compacts the log.
 //
 // trace, top, events and slow are the remote commands: they query a running
-// blueprintd (its /trace/{session}, /stats, /slo, /events and /slow
+// blueprintd (its /trace/{session}, /metrics, /slo, /events and /slow
 // endpoints) at -addr instead of booting an in-process system — telemetry
 // lives in the daemon's process.
 package main
@@ -37,9 +37,12 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/url"
 	"os"
+	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -48,6 +51,7 @@ import (
 	"blueprint/internal/nlq"
 	"blueprint/internal/obs"
 	"blueprint/internal/trace"
+	"blueprint/internal/workload"
 )
 
 func main() {
@@ -339,18 +343,20 @@ func remoteSlow(w io.Writer, addr, arg string) error {
 	return nil
 }
 
-// remoteTop samples GET /stats twice, a second apart, and prints a one-shot
-// top-style summary: ask throughput and latency quantiles, memo and
-// statement-cache effectiveness, scheduler occupancy, SLO burn rates.
+// remoteTop scrapes GET /metrics twice, a second apart, and prints a
+// one-shot top-style summary: ask throughput and latency quantiles, memo
+// and statement-cache effectiveness, scheduler occupancy, SLO burn rates
+// (from GET /slo). A series it reads that the daemon does not export is an
+// error, reported after the summary, instead of a silent 0.
 func remoteTop(w io.Writer, addr string) error {
-	sample := func() (map[string]any, error) {
-		var st map[string]any
-		err := getJSON(addr, "/stats", &st)
-		return st, err
-	}
-	num := func(st map[string]any, key string) float64 {
-		v, _ := st[key].(float64)
-		return v
+	d := workload.NewHTTPDriver(addr)
+	d.Client = &http.Client{Timeout: 5 * time.Second}
+	sample := func() (*series, error) {
+		m, err := d.ScrapeMetrics()
+		if err != nil {
+			return nil, fmt.Errorf("is blueprintd running at %s? %w", addr, err)
+		}
+		return &series{m: m}, nil
 	}
 
 	first, err := sample()
@@ -362,41 +368,40 @@ func remoteTop(w io.Writer, addr string) error {
 	if err != nil {
 		return err
 	}
+	num := second.num
 
-	asks := num(second, "blueprint_asks_total")
-	rate := asks - num(first, "blueprint_asks_total")
+	asks := num("blueprint_asks_total")
+	rate := asks - first.num("blueprint_asks_total")
+	lat := second.quantiles("blueprint_ask_latency_seconds", 0.5, 0.95, 0.99)
 	fmt.Fprintf(w, "asks      total=%.0f rate=%.1f/s  p50=%s p95=%s p99=%s\n",
-		asks, rate,
-		quantile(second, "blueprint_ask_latency_seconds_p50"),
-		quantile(second, "blueprint_ask_latency_seconds_p95"),
-		quantile(second, "blueprint_ask_latency_seconds_p99"))
-	hits, misses := num(second, "blueprint_memo_hits_total"), num(second, "blueprint_memo_misses_total")
+		asks, rate, seconds(lat[0]), seconds(lat[1]), seconds(lat[2]))
+	hits, misses := num("blueprint_memo_hits_total"), num("blueprint_memo_misses_total")
 	fmt.Fprintf(w, "memo      hits=%.0f misses=%.0f hit_ratio=%s entries=%.0f\n",
-		hits, misses, ratio(hits, hits+misses), num(second, "blueprint_memo_entries"))
-	scHits, scMisses := num(second, "blueprint_stmt_cache_hits_total"), num(second, "blueprint_stmt_cache_misses_total")
+		hits, misses, ratio(hits, hits+misses), num("blueprint_memo_entries"))
+	scHits, scMisses := num("blueprint_stmt_cache_hits_total"), num("blueprint_stmt_cache_misses_total")
 	fmt.Fprintf(w, "stmt      hits=%.0f (shape=%.0f) misses=%.0f hit_ratio=%s compiles=%.0f\n",
-		scHits, num(second, "blueprint_stmt_cache_shape_hits_total"), scMisses,
-		ratio(scHits, scHits+scMisses), num(second, "blueprint_plan_compiles_total"))
+		scHits, num("blueprint_stmt_cache_shape_hits_total"), scMisses,
+		ratio(scHits, scHits+scMisses), num("blueprint_plan_compiles_total"))
 	fmt.Fprintf(w, "sched     steps=%.0f cached=%.0f busy_workers=%.0f  step_p95=%s\n",
-		num(second, "blueprint_scheduler_steps_total"), num(second, "blueprint_scheduler_steps_cached_total"),
-		num(second, "blueprint_scheduler_busy_workers"), quantile(second, "blueprint_step_latency_seconds_p95"))
+		num("blueprint_scheduler_steps_total"), num("blueprint_scheduler_steps_cached_total"),
+		num("blueprint_scheduler_busy_workers"), seconds(second.quantiles("blueprint_step_latency_seconds", 0.95)[0]))
 	fmt.Fprintf(w, "sessions  open=%.0f  durability appends=%.0f fsyncs=%.0f\n",
-		num(second, "blueprint_sessions_open"),
-		num(second, "blueprint_durability_appends_total"), num(second, "blueprint_durability_fsyncs_total"))
+		num("blueprint_sessions_open"),
+		num("blueprint_durability_appends_total"), num("blueprint_durability_fsyncs_total"))
 	// Resilience: admission ledger, degraded serves, breaker state. During a
 	// brownout this is the line to watch — shed climbing, degraded absorbing
 	// repeat asks, breakers_open isolating failing agents.
-	admitted, shed := num(second, "blueprint_governor_admitted_total"), num(second, "blueprint_governor_shed_total")
+	admitted, shed := num("blueprint_governor_admitted_total"), num("blueprint_governor_shed_total")
 	fmt.Fprintf(w, "resil     admitted=%.0f shed=%.0f (tenant=%.0f timeout=%.0f) degraded=%.0f inflight=%.0f queued=%.0f shed_ratio=%s\n",
 		admitted, shed,
-		num(second, "blueprint_governor_tenant_shed_total"), num(second, "blueprint_governor_queue_timeouts_total"),
-		num(second, "blueprint_degraded_answers_total"),
-		num(second, "blueprint_governor_inflight"), num(second, "blueprint_governor_queued"),
+		num("blueprint_governor_tenant_shed_total"), num("blueprint_governor_queue_timeouts_total"),
+		num("blueprint_degraded_answers_total"),
+		num("blueprint_governor_inflight"), num("blueprint_governor_queued"),
 		ratio(shed, admitted+shed))
 	fmt.Fprintf(w, "          retries=%.0f breaker trips=%.0f rejections=%.0f open_now=%.0f stale_steps=%.0f\n",
-		num(second, "blueprint_scheduler_step_retries_total"),
-		num(second, "blueprint_breaker_trips_total"), num(second, "blueprint_breaker_rejections_total"),
-		num(second, "blueprint_breakers_open"), num(second, "blueprint_scheduler_steps_degraded_total"))
+		num("blueprint_scheduler_step_retries_total"),
+		num("blueprint_breaker_trips_total"), num("blueprint_breaker_rejections_total"),
+		num("blueprint_breakers_open"), num("blueprint_scheduler_steps_degraded_total"))
 	// SLO burn: one line per tenant/agent series from GET /slo. Burn > 1
 	// means the error budget is being consumed faster than sustainable —
 	// fast >> slow means it started just now.
@@ -411,12 +416,61 @@ func remoteTop(w io.Writer, addr string) error {
 				ratio(float64(st.Total-st.Bad), float64(st.Total)), st.Total, st.Errors, st.Slow)
 		}
 	}
+	if len(second.missing) > 0 {
+		return fmt.Errorf("/metrics lacks series bpctl top reads (shown as 0): %s", strings.Join(second.missing, ", "))
+	}
 	return nil
 }
 
-func quantile(st map[string]any, key string) string {
-	v, ok := st[key].(float64)
-	if !ok || v <= 0 {
+// series is one scrape of GET /metrics, keyed by full sample name (labels
+// included), that remembers every series a reader asked for and did not
+// find.
+type series struct {
+	m       map[string]float64
+	missing []string
+}
+
+func (s *series) num(name string) float64 {
+	v, ok := s.m[name]
+	if !ok {
+		s.missing = append(s.missing, name)
+	}
+	return v
+}
+
+// quantiles estimates quantiles of the named histogram from its scraped
+// cumulative `_bucket{le="..."}` series with obs.BucketQuantiles, the
+// interpolation the daemon's Histogram.Quantiles uses.
+func (s *series) quantiles(name string, qs ...float64) []float64 {
+	if s.num(name+"_count") == 0 {
+		return make([]float64, len(qs))
+	}
+	type bucket struct{ le, cum float64 }
+	var bs []bucket
+	for k, v := range s.m {
+		if rest, ok := strings.CutPrefix(k, name+`_bucket{le="`); ok {
+			if le, err := strconv.ParseFloat(strings.TrimSuffix(rest, `"}`), 64); err == nil {
+				bs = append(bs, bucket{le, v})
+			}
+		}
+	}
+	sort.Slice(bs, func(i, j int) bool { return bs[i].le < bs[j].le })
+	var bounds []float64
+	var counts []uint64
+	var prev float64
+	for _, b := range bs {
+		if !math.IsInf(b.le, 1) {
+			bounds = append(bounds, b.le)
+		}
+		counts = append(counts, uint64(max(b.cum-prev, 0)))
+		prev = b.cum
+	}
+	return obs.BucketQuantiles(bounds, counts, qs...)
+}
+
+// seconds renders a latency quantile in seconds, "-" when there is none.
+func seconds(v float64) string {
+	if v <= 0 {
 		return "-"
 	}
 	return time.Duration(v * float64(time.Second)).Round(time.Microsecond).String()

@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,12 +16,13 @@ import (
 	"blueprint/internal/httpapi"
 	"blueprint/internal/obs"
 	"blueprint/internal/resilience"
+	"blueprint/internal/workload"
 )
 
 // startDaemon boots a governed System behind a real HTTP listener — the
 // remote commands exercise the same wire path they use against a live
-// blueprintd.
-func startDaemon(t *testing.T) string {
+// blueprintd. served lists the request paths the daemon has seen so far.
+func startDaemon(t *testing.T) (base string, served func() []string) {
 	t.Helper()
 	sys, err := blueprint.New(blueprint.Config{
 		ModelAccuracy:    1.0,
@@ -35,9 +39,21 @@ func startDaemon(t *testing.T) string {
 		obs.SlowAsks.SetThreshold(obs.DefaultSlowThreshold)
 		obs.Events.SetLevel(obs.LevelInfo)
 	})
-	srv := httptest.NewServer(httpapi.New(sys, httpapi.Options{}))
+	var mu sync.Mutex
+	var paths []string
+	h := httpapi.New(sys, httpapi.Options{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		paths = append(paths, r.URL.Path)
+		mu.Unlock()
+		h.ServeHTTP(w, r)
+	}))
 	t.Cleanup(srv.Close)
-	return srv.URL
+	return srv.URL, func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), paths...)
+	}
 }
 
 // askOverHTTP creates a session and drives one ask, returning the session id.
@@ -71,7 +87,7 @@ func askOverHTTP(t *testing.T, base, text string) string {
 }
 
 func TestRemoteCommandsAgainstLiveDaemon(t *testing.T) {
-	base := startDaemon(t)
+	base, _ := startDaemon(t)
 	id := askOverHTTP(t, base, "Summarize the applicants for job 3")
 
 	// trace: the session's span tree.
@@ -132,21 +148,78 @@ func TestRemoteCommandsAgainstLiveDaemon(t *testing.T) {
 		}
 	}
 
-	// top: the one-shot summary including the SLO burn line for the tenant
-	// (1ns latency target makes every ask slow, so the burn is nonzero).
-	out.Reset()
+}
+
+// TestTopReadsMetricsAgainstLiveDaemon asks once through a live daemon and
+// runs top. Every series top reads must be present in /metrics (remoteTop
+// fails on a missing one instead of printing 0), the ask quantiles must
+// come out of the scraped buckets, and top must read only /metrics and
+// /slo.
+func TestTopReadsMetricsAgainstLiveDaemon(t *testing.T) {
+	base, served := startDaemon(t)
+	askOverHTTP(t, base, "How many jobs are in San Francisco?")
+	before := len(served())
+	var out bytes.Buffer
 	if err := remoteTop(&out, base); err != nil {
-		t.Fatal(err)
+		t.Fatalf("top: %v\n%s", err, out.String())
 	}
-	text = out.String()
-	for _, want := range []string{"asks      total=", "resil     admitted=", "slo       tenant default"} {
+	text := out.String()
+	// The 1ns SLO latency target makes every ask slow, so the tenant's
+	// burn line is nonzero.
+	for _, want := range []string{
+		"asks      total=", "memo      hits=", "stmt      hits=", "sched     steps=",
+		"sessions  open=", "resil     admitted=", "          retries=",
+		"slo       tenant default", "burn fast=",
+	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("top output missing %q:\n%s", want, text)
 		}
 	}
-	if !strings.Contains(text, "burn fast=") {
-		t.Fatalf("top output missing burn rates:\n%s", text)
+	if strings.Contains(text, "p50=-") {
+		t.Fatalf("top shows no ask p50 after an ask:\n%s", text)
 	}
+	for _, p := range served()[before:] {
+		if p != "/metrics" && p != "/slo" {
+			t.Fatalf("top read %s; want only /metrics and /slo", p)
+		}
+	}
+}
+
+// TestScrapedQuantilesMatchHistogram: quantiles top recovers from a
+// histogram's exposition equal the in-process Histogram.Quantiles, empty
+// and populated, +Inf bucket included.
+func TestScrapedQuantilesMatchHistogram(t *testing.T) {
+	r := obs.NewRegistry()
+	h := r.Histogram("test_latency_seconds", "test", obs.LatencyBuckets)
+	qs := []float64{0, 0.25, 0.5, 0.9, 0.95, 0.99, 1}
+	check := func(label string) {
+		t.Helper()
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		m, err := workload.ParsePrometheus(b.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := &series{m: m}
+		got, want := s.quantiles("test_latency_seconds", qs...), h.Quantiles(qs...)
+		if len(s.missing) > 0 {
+			t.Fatalf("%s: missing %v", label, s.missing)
+		}
+		for i := range qs {
+			if got[i] != want[i] {
+				t.Fatalf("%s: q%.2f scraped %g, histogram %g", label, qs[i], got[i], want[i])
+			}
+		}
+	}
+	check("empty")
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 5000; i++ {
+		h.Observe(math.Exp(rng.NormFloat64()*2 - 7)) // ~1µs..1s
+	}
+	h.Observe(1000) // past the top finite bound: the +Inf bucket
+	check("populated")
 }
 
 func TestRemoteCommandsConnectionRefused(t *testing.T) {

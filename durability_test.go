@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -101,6 +102,15 @@ func TestDurableRestartRecoversTablesRegistriesAndStreams(t *testing.T) {
 	hist := sys2.Store.History(sessID)
 	if len(hist) < flowLen {
 		t.Fatalf("recovered %d stream messages for %s, want >= %d", len(hist), sessID, flowLen)
+	}
+	found := false
+	for _, m := range hist {
+		if strings.Contains(m.PayloadString(), "How many jobs are in San Francisco?") {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatal("the session's utterance was not recovered from the log")
 	}
 }
 

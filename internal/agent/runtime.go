@@ -156,9 +156,6 @@ func Attach(store *streams.Store, session string, a *Agent, opts Options) (*Inst
 	return inst, nil
 }
 
-// Name returns the agent name.
-func (in *Instance) Name() string { return in.agent.Spec.Name }
-
 // Stats returns a snapshot of the instance counters.
 func (in *Instance) Stats() Stats {
 	in.costMu.Lock()
@@ -170,9 +167,6 @@ func (in *Instance) Stats() Stats {
 		CostTotal:   cost,
 	}
 }
-
-// PendingTokens reports queued tokens per input place (observability).
-func (in *Instance) PendingTokens() map[string]int { return in.petri.pending() }
 
 // Stop announces EXIT_SESSION, cancels subscriptions and waits for in-flight
 // workers.

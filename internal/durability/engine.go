@@ -509,7 +509,7 @@ func (e *Engine) append(id uint8, payload []byte) (uint64, error) {
 
 // Append logs one record asynchronously: it is buffered immediately and
 // made durable by the next group commit, background flush, rotation,
-// snapshot or close. Use AppendSync (or Sync) when the caller must not
+// snapshot or close. Use AppendSync when the caller must not
 // return before the record is on disk.
 func (e *Engine) Append(id uint8, payload []byte) error {
 	_, err := e.append(id, payload)
@@ -586,12 +586,6 @@ func (e *Engine) flushAndSync() (uint64, error) {
 	}
 	e.synced = seq
 	return seq, nil
-}
-
-// Sync makes every record appended so far durable.
-func (e *Engine) Sync() error {
-	_, err := e.flushAndSync()
-	return err
 }
 
 // rotateLocked seals the current segment and opens the next. Caller holds
@@ -854,9 +848,6 @@ func (e *Engine) Close() error {
 	return err
 }
 
-// Dir returns the engine's data directory.
-func (e *Engine) Dir() string { return e.dir }
-
 // Stats returns a snapshot of the counters plus the on-disk footprint.
 func (e *Engine) Stats() Stats {
 	st := Stats{
@@ -896,9 +887,6 @@ func (e *Engine) Logger(id uint8) *SubLogger { return &SubLogger{e: e, id: id} }
 
 // Append logs one record asynchronously (see Engine.Append).
 func (l *SubLogger) Append(payload []byte) error { return l.e.Append(l.id, payload) }
-
-// AppendSync logs one record through group commit (see Engine.AppendSync).
-func (l *SubLogger) AppendSync(payload []byte) error { return l.e.AppendSync(l.id, payload) }
 
 // LogMutation atomically applies and logs a mutation (see Engine.Log).
 func (l *SubLogger) LogMutation(apply func() ([]byte, error)) error { return l.e.Log(l.id, apply) }

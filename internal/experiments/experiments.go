@@ -6,7 +6,9 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -61,41 +63,47 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// All runs every experiment (deterministic seed) and returns the tables in
-// id order.
+// Experiment is one registered figure or ablation.
+type Experiment struct {
+	ID  string // "F1".."F10", "A1".."A12"
+	Run func(seed int64) (*Table, error)
+}
+
+// Registry lists every experiment in run order. All and cmd/benchharness
+// (its -fig lookup and usage text) derive from it. A7 is retired: its
+// compiled-vs-interpreted floor is TestCompiledAllocsBelowOracle.
+var Registry = []Experiment{
+	{"F1", Fig1EndToEnd},
+	{"F2", Fig2Deployment},
+	{"F3", Fig3AgentModel},
+	{"F4", Fig4PetriTriggering},
+	{"F5", Fig5DataRegistry},
+	{"F6", Fig6TaskPlan},
+	{"F7", Fig7DataPlan},
+	{"F8", Fig8Conversation},
+	{"F9", Fig9UIFlow},
+	{"F10", Fig10ConversationFlow},
+	{"A1", AblationBudget},
+	{"A2", AblationOptimizer},
+	{"A3", AblationStreams},
+	{"A4", AblationPlanCache},
+	{"A5", AblationScheduler},
+	{"A6", AblationMemo},
+	{"A8", AblationDurability},
+	{"A9", FrontendShapeCache},
+	{"A10", AblationObservability},
+	{"A11", AblationResilience},
+	{"A12", FlightRecorder},
+}
+
+// All runs every registered experiment (deterministic seed) and returns
+// the tables in registry order.
 func All(seed int64) ([]*Table, error) {
-	type exp struct {
-		id  string
-		run func(int64) (*Table, error)
-	}
-	exps := []exp{
-		{"F1", Fig1EndToEnd},
-		{"F2", Fig2Deployment},
-		{"F3", Fig3AgentModel},
-		{"F4", Fig4PetriTriggering},
-		{"F5", Fig5DataRegistry},
-		{"F6", Fig6TaskPlan},
-		{"F7", Fig7DataPlan},
-		{"F8", Fig8Conversation},
-		{"F9", Fig9UIFlow},
-		{"F10", Fig10ConversationFlow},
-		{"A1", AblationBudget},
-		{"A2", AblationOptimizer},
-		{"A3", AblationStreams},
-		{"A4", AblationPlanCache},
-		{"A5", AblationScheduler},
-		{"A6", AblationMemo},
-		{"A8", AblationDurability},
-		{"A9", FrontendShapeCache},
-		{"A10", AblationObservability},
-		{"A11", AblationResilience},
-		{"A12", FlightRecorder},
-	}
-	out := make([]*Table, 0, len(exps))
-	for _, e := range exps {
-		t, err := e.run(seed)
+	out := make([]*Table, 0, len(Registry))
+	for _, e := range Registry {
+		t, err := e.Run(seed)
 		if err != nil {
-			return out, fmt.Errorf("experiment %s: %w", e.id, err)
+			return out, fmt.Errorf("experiment %s: %w", e.ID, err)
 		}
 		out = append(out, t)
 	}
@@ -115,6 +123,14 @@ func us(d time.Duration) string {
 func dollars(v float64) string { return fmt.Sprintf("$%.5f", v) }
 
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
+
+// median returns the middle element of xs (the upper one for an even
+// count) without reordering xs.
+func median[T cmp.Ordered](xs []T) T {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return s[len(s)/2]
+}
 
 func sortedKeys(m map[string]int) []string {
 	out := make([]string, 0, len(m))

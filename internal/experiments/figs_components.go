@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
 	"blueprint/internal/agent"
 	"blueprint/internal/cluster"
+	"blueprint/internal/durability"
 	"blueprint/internal/registry"
 	"blueprint/internal/streams"
 )
@@ -308,14 +308,15 @@ func Fig5DataRegistry(seed int64) (*Table, error) {
 	return t, nil
 }
 
-// AblationStreams measures the streams substrate: append throughput with
-// and without WAL persistence, and delivery fan-out cost.
+// AblationStreams measures the streams substrate: append throughput in
+// memory and with every append logged to the shared durability engine (the
+// path Config.DataDir turns on), and delivery fan-out cost.
 func AblationStreams(seed int64) (*Table, error) {
 	t := &Table{ID: "A3", Title: "Streams substrate ablation (§V-A)"}
 	const n = 5000
 
 	for _, wal := range []bool{false, true} {
-		var opts streams.Options
+		store := streams.NewStore()
 		label := "wal=off"
 		if wal {
 			dir, err := os.MkdirTemp("", "blueprint-bench")
@@ -323,12 +324,20 @@ func AblationStreams(seed int64) (*Table, error) {
 				return nil, err
 			}
 			defer os.RemoveAll(dir)
-			opts.WALPath = filepath.Join(dir, "bench.wal")
+			eng, err := durability.Open(dir, durability.Options{})
+			if err != nil {
+				return nil, err
+			}
+			defer eng.Close()
+			const subStreams = 1
+			if err := eng.Register(subStreams, "streams", store); err != nil {
+				return nil, err
+			}
+			store.SetDurable(eng.Logger(subStreams).Append)
+			if err := eng.Recover(); err != nil {
+				return nil, err
+			}
 			label = "wal=on"
-		}
-		store, err := streams.Open(opts)
-		if err != nil {
-			return nil, err
 		}
 		if _, err := store.CreateStream("s", streams.StreamInfo{}); err != nil {
 			return nil, err

@@ -39,9 +39,7 @@ type Options struct {
 //	GET  /sessions/{id}/flow               -> per-message flow trace
 //	GET  /agents                           -> agent registry contents
 //	GET  /data                             -> data registry contents
-//	GET  /stats                            -> flat registry snapshot (all counters + quantiles)
-//	GET  /memo                             -> step-result memoization stats
-//	GET  /metrics                          -> Prometheus text exposition (0.0.4)
+//	GET  /metrics                          -> Prometheus text exposition (0.0.4): every counter, gauge and histogram
 //	GET  /trace/{id}                       -> span tree for a session's recent asks
 //	GET  /events                           -> structured event log (?since=SEQ&level=L&limit=N)
 //	GET  /slow                             -> slow-ask exemplar summaries
@@ -66,8 +64,6 @@ func New(sys *blueprint.System, opts Options) *Server {
 	mux.HandleFunc("GET /sessions/{id}/flow", s.flow)
 	mux.HandleFunc("GET /agents", s.agents)
 	mux.HandleFunc("GET /data", s.data)
-	mux.HandleFunc("GET /stats", s.stats)
-	mux.HandleFunc("GET /memo", s.memo)
 	mux.HandleFunc("GET /metrics", s.metrics)
 	mux.HandleFunc("GET /trace/{id}", s.trace)
 	mux.HandleFunc("GET /events", s.events)
@@ -88,14 +84,6 @@ func New(sys *blueprint.System, opts Options) *Server {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// SessionCount reports the live session handles (the /stats "sessions"
-// field; blueprintd logs it at shutdown).
-func (s *Server) SessionCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.sessions)
-}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -223,37 +211,6 @@ func (s *Server) agents(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) data(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.sys.DataRegistry.List("", ""))
-}
-
-// stats serves a thin view over the metrics registry: every registered
-// instrument flattened to name->value (histograms as _count/_sum/_p50/_p95/
-// _p99), plus the few non-numeric or derived fields a registry cannot carry
-// (version string, hit-rate ratios, recovery summary).
-func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
-	ms := s.sys.MemoStats()
-	cs := s.sys.Enterprise.DB.CacheStats()
-	ds := s.sys.DurabilityStats()
-	breakers := map[string]string{}
-	for name, st := range s.sys.BreakerStates() {
-		breakers[name] = st.String()
-	}
-	out := map[string]any{
-		"version": blueprint.Version, "sessions": s.SessionCount(),
-		"memo_hit_rate":                 ms.HitRate(),
-		"stmt_cache_hit_rate":           cs.HitRate(),
-		"governor_enabled":              s.sys.Governor != nil,
-		"breakers":                      breakers,
-		"durability_enabled":            s.sys.Durability != nil,
-		"durability_segments":           ds.Segments,
-		"durability_last_recovery":      ds.Recovery.Duration.String(),
-		"durability_snapshot_restored":  ds.Recovery.SnapshotRestored,
-		"durability_replayed_records":   ds.Recovery.ReplayedRecords,
-		"durability_torn_tail_repaired": ds.Recovery.TornTailTruncated,
-	}
-	for name, v := range obs.Default.Snapshot() {
-		out[name] = v
-	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 // metrics serves the registry in Prometheus text exposition format.
@@ -386,21 +343,5 @@ func (s *Server) snapshot(w http.ResponseWriter, r *http.Request) {
 		"snapshot_bytes": st.SnapshotBytes,
 		"log_bytes":      st.LogBytes,
 		"segments":       st.Segments,
-	})
-}
-
-func (s *Server) memo(w http.ResponseWriter, r *http.Request) {
-	ms := s.sys.MemoStats()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"enabled":       s.sys.Memo != nil,
-		"hits":          ms.Hits,
-		"misses":        ms.Misses,
-		"hit_rate":      ms.HitRate(),
-		"coalesced":     ms.Coalesced,
-		"evictions":     ms.Evictions,
-		"invalidations": ms.Invalidations,
-		"entries":       ms.Entries,
-		"saved_cost":    ms.SavedCost,
-		"saved_latency": ms.SavedLatency.String(),
 	})
 }

@@ -224,19 +224,6 @@ func (l *EventLog) Cap() int {
 	return cap(l.ring)
 }
 
-// SetCapacity re-bounds the ring, dropping retained events (experiment and
-// daemon-boot hook, not a steady-state operation).
-func (l *EventLog) SetCapacity(capacity int) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	l.mu.Lock()
-	l.ring = make([]Event, 0, capacity)
-	l.next = 0
-	l.full = false
-	l.mu.Unlock()
-}
-
 // Reset drops retained events, keeping capacity and level (test hook).
 func (l *EventLog) Reset() {
 	l.mu.Lock()

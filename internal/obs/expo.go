@@ -76,10 +76,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return err
 }
 
-// Snapshot flattens the registry into name->value pairs — the thin view
-// blueprintd's /stats serves. Counters and gauges contribute their value
-// under their own name; histograms contribute `_count`, `_sum` and
-// interpolated `_p50`/`_p95`/`_p99` entries.
+// Snapshot flattens the registry into name->value pairs for in-process
+// readers (the repository benchmark's per-layer ledger); remote readers
+// scrape /metrics. Counters and gauges contribute their value under their
+// own name; histograms contribute `_count`, `_sum` and interpolated
+// `_p50`/`_p95`/`_p99` entries.
 func (r *Registry) Snapshot() map[string]float64 {
 	r.mu.Lock()
 	items := make(map[string]metric, len(r.items))

@@ -114,8 +114,8 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 
 // CounterFunc registers (or re-points) a callback-backed counter — the
 // bridge for pre-existing subsystem counters (memo hits, stmt-cache hits,
-// durability fsyncs) so /metrics and /stats read one registry instead of
-// ad-hoc struct assembly. The callback must be safe for concurrent use.
+// durability fsyncs) so /metrics reads one registry instead of ad-hoc
+// struct assembly. The callback must be safe for concurrent use.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.funcMetric(name, help, "counter", fn)
 }
@@ -138,13 +138,6 @@ func (r *Registry) funcMetric(name, help, typ string, fn func() float64) {
 	}
 	r.items[name] = &funcMetric{name: name, help: help, typ: typ, fn: fn}
 	r.order = append(r.order, name)
-}
-
-// Names returns the registered instrument names in registration order.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.order...)
 }
 
 // ---- Counter ----
@@ -320,11 +313,26 @@ func (h *Histogram) snapshotBuckets() ([]uint64, uint64) {
 
 // Quantiles estimates the requested quantiles (each in [0,1]) from one
 // consistent bucket snapshot: for a sorted input, the output is
-// non-decreasing even under concurrent Observe calls. With no observations
-// it returns zeros. Values in the +Inf bucket clamp to the top finite bound.
+// non-decreasing even under concurrent Observe calls. See BucketQuantiles.
 func (h *Histogram) Quantiles(qs ...float64) []float64 {
-	counts, total := h.snapshotBuckets()
+	counts, _ := h.snapshotBuckets()
+	return BucketQuantiles(h.bounds, counts, qs...)
+}
+
+// BucketQuantiles estimates the requested quantiles (each in [0,1]) of a
+// histogram given its ascending finite upper bounds and per-bucket (not
+// cumulative) counts, one more count than bounds for the +Inf bucket. It
+// interpolates linearly within the bucket that crosses the requested rank.
+// With no observations it returns zeros; values in the +Inf bucket clamp
+// to the top finite bound (0 when there is none). Histogram.Quantiles and clients of the scraped
+// `_bucket{le=...}` series (bpctl top) share it, so both report the same
+// estimate.
+func BucketQuantiles(bounds []float64, counts []uint64, qs ...float64) []float64 {
 	out := make([]float64, len(qs))
+	var total uint64
+	for _, c := range counts {
+		total += c
+	}
 	if total == 0 {
 		return out
 	}
@@ -343,15 +351,17 @@ func (h *Histogram) Quantiles(qs ...float64) []float64 {
 			if cum < rank || c == 0 {
 				continue
 			}
-			if bi >= len(h.bounds) { // +Inf bucket
-				out[i] = h.bounds[len(h.bounds)-1]
+			if bi >= len(bounds) { // +Inf bucket
+				if len(bounds) > 0 {
+					out[i] = bounds[len(bounds)-1]
+				}
 				break
 			}
 			lower := 0.0
 			if bi > 0 {
-				lower = h.bounds[bi-1]
+				lower = bounds[bi-1]
 			}
-			upper := h.bounds[bi]
+			upper := bounds[bi]
 			out[i] = lower + (upper-lower)*((rank-prev)/float64(c))
 			break
 		}

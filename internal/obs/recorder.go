@@ -232,18 +232,6 @@ func (r *Recorder) Cap() int {
 	return cap(r.ring)
 }
 
-// SetCapacity re-bounds the ring, dropping retained exemplars.
-func (r *Recorder) SetCapacity(capacity int) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	r.mu.Lock()
-	r.ring = make([]*Exemplar, 0, capacity)
-	r.next = 0
-	r.full = false
-	r.mu.Unlock()
-}
-
 // Reset drops retained exemplars, keeping capacity and threshold.
 func (r *Recorder) Reset() {
 	r.mu.Lock()

@@ -308,57 +308,53 @@ func writeExprDisplay(b *strings.Builder, e Expr, params []Value) {
 	}
 }
 
-// hasAutoParam reports whether the expression tree contains an
-// auto-extracted literal parameter (its display depends on bound values).
-func hasAutoParam(e Expr) bool {
+// anyExpr reports whether pred holds for e or any expression nested in
+// it, visiting in source order and stopping at the first hit — the one
+// walk behind every structural question the engine asks of a tree.
+func anyExpr(e Expr, pred func(Expr) bool) bool {
+	if e == nil {
+		return false
+	}
+	if pred(e) {
+		return true
+	}
 	switch x := e.(type) {
-	case *Param:
-		return x.Auto
 	case *BinaryExpr:
-		return hasAutoParam(x.L) || hasAutoParam(x.R)
+		return anyExpr(x.L, pred) || anyExpr(x.R, pred)
 	case *UnaryExpr:
-		return hasAutoParam(x.E)
+		return anyExpr(x.E, pred)
 	case *InExpr:
-		if hasAutoParam(x.E) {
+		if anyExpr(x.E, pred) {
 			return true
 		}
 		for _, it := range x.List {
-			if hasAutoParam(it) {
+			if anyExpr(it, pred) {
 				return true
 			}
 		}
 	case *BetweenExpr:
-		return hasAutoParam(x.E) || hasAutoParam(x.Lo) || hasAutoParam(x.Hi)
+		return anyExpr(x.E, pred) || anyExpr(x.Lo, pred) || anyExpr(x.Hi, pred)
 	case *IsNullExpr:
-		return hasAutoParam(x.E)
+		return anyExpr(x.E, pred)
 	case *AggExpr:
-		return !x.Star && hasAutoParam(x.Arg)
+		return anyExpr(x.Arg, pred)
 	}
 	return false
 }
 
+// hasAutoParam reports whether the expression tree contains an
+// auto-extracted literal parameter (its display depends on bound values).
+func hasAutoParam(e Expr) bool {
+	return anyExpr(e, func(x Expr) bool {
+		p, ok := x.(*Param)
+		return ok && p.Auto
+	})
+}
+
 // hasAggregate reports whether the expression tree contains an aggregate.
 func hasAggregate(e Expr) bool {
-	switch x := e.(type) {
-	case *AggExpr:
-		return true
-	case *BinaryExpr:
-		return hasAggregate(x.L) || hasAggregate(x.R)
-	case *UnaryExpr:
-		return hasAggregate(x.E)
-	case *InExpr:
-		if hasAggregate(x.E) {
-			return true
-		}
-		for _, it := range x.List {
-			if hasAggregate(it) {
-				return true
-			}
-		}
-	case *BetweenExpr:
-		return hasAggregate(x.E) || hasAggregate(x.Lo) || hasAggregate(x.Hi)
-	case *IsNullExpr:
-		return hasAggregate(x.E)
-	}
-	return false
+	return anyExpr(e, func(x Expr) bool {
+		_, ok := x.(*AggExpr)
+		return ok
+	})
 }

@@ -266,30 +266,14 @@ func compileExpr(cols []envCol, x Expr) compiledExpr {
 // resolvable reports whether every column reference in x resolves against
 // cols, i.e. whether compileExpr lowered no reference into a lazy error.
 func resolvable(cols []envCol, x Expr) bool {
-	switch v := x.(type) {
-	case *ColumnRef:
-		_, err := resolveCol(cols, v)
-		return err == nil
-	case *BinaryExpr:
-		return resolvable(cols, v.L) && resolvable(cols, v.R)
-	case *UnaryExpr:
-		return resolvable(cols, v.E)
-	case *InExpr:
-		for _, item := range v.List {
-			if !resolvable(cols, item) {
-				return false
-			}
+	return !anyExpr(x, func(e Expr) bool {
+		c, ok := e.(*ColumnRef)
+		if !ok {
+			return false
 		}
-		return resolvable(cols, v.E)
-	case *BetweenExpr:
-		return resolvable(cols, v.E) && resolvable(cols, v.Lo) && resolvable(cols, v.Hi)
-	case *IsNullExpr:
-		return resolvable(cols, v.E)
-	case *AggExpr:
-		return v.Star || resolvable(cols, v.Arg)
-	default:
-		return true
-	}
+		_, err := resolveCol(cols, c)
+		return err != nil
+	})
 }
 
 // compileConjuncts compiles the conjunct list of a left-deep AND chain in
@@ -1649,7 +1633,8 @@ func (db *DB) runAggregate(p *selectProgram, iter rowIter, params []Value, planL
 // runProject executes the non-aggregated tail: a fused scan→filter→project
 // pipeline that streams rows straight into the result, deduplicates DISTINCT
 // through binary keys, stops early once OFFSET+LIMIT rows are produced, and
-// serves ORDER BY + LIMIT through a bounded top-k heap.
+// serves ORDER BY + LIMIT through a bounded top-k heap. An error aborts the
+// pass; stagedErr then picks the error the staged oracle would raise.
 func (db *DB) runProject(p *selectProgram, iter rowIter, params []Value, planLines *[]string) (*Result, error) {
 	sel := p.sel
 	out := &Result{Columns: p.columns}
@@ -1723,7 +1708,7 @@ func (db *DB) runProject(p *selectProgram, iter rowIter, params []Value, planLin
 			return nil
 		})
 		if err != nil && err != errStopScan {
-			return nil, err
+			return nil, p.stagedErr(iter, params, err)
 		}
 		if p.where != nil {
 			if p.sel.Explain {
@@ -1813,7 +1798,7 @@ func (db *DB) runProject(p *selectProgram, iter rowIter, params []Value, planLin
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, p.stagedErr(iter, params, err)
 	}
 	if heap != nil {
 		cands = heap.Items()
@@ -1858,12 +1843,61 @@ func (db *DB) runProject(p *selectProgram, iter rowIter, params []Value, planLin
 	return out, nil
 }
 
+// stagedErr returns the error the staged oracle raises for a projection
+// whose fused pass failed with err. The oracle filters every row, then
+// projects the survivors, then evaluates the ORDER BY keys one key at a
+// time, so a WHERE error on any row wins, then the first row's projection
+// error, then the first ORDER BY key that fails on some row. The rescan
+// runs only on this error path; if it finds nothing (a concurrent write
+// removed the failing row), the first pass's error stands.
+func (p *selectProgram) stagedErr(iter rowIter, params []Value, err error) error {
+	var staged error
+	rank := 1 + len(p.orderBy) // projection 0, ORDER BY key i at 1+i
+	if scanErr := iter(func(r Row) error {
+		if p.where != nil {
+			v, err := p.where(r, params)
+			if err != nil {
+				return err
+			}
+			if !truthy(v) {
+				return nil
+			}
+		}
+		for _, it := range p.items {
+			if rank == 0 {
+				return nil
+			}
+			if !it.star {
+				if _, err := it.f(r, params); err != nil {
+					staged, rank = err, 0
+				}
+			}
+		}
+		for ki, op := range p.orderBy {
+			if 1+ki >= rank {
+				return nil
+			}
+			if op.outIdx < 0 {
+				if _, err := op.f(r, params); err != nil {
+					staged, rank = err, 1+ki
+				}
+			}
+		}
+		return nil
+	}); scanErr != nil {
+		return scanErr
+	}
+	if staged != nil {
+		return staged
+	}
+	return err
+}
+
 // ---- UPDATE / DELETE compilation ----
 
 type updateProgram struct {
-	t       *table
-	where   compiledExpr
-	access  []accessCand
+	t *table
+	dmlWhere
 	targets []updateTarget
 }
 
@@ -1875,9 +1909,8 @@ type updateTarget struct {
 }
 
 type deleteProgram struct {
-	t      *table
-	where  compiledExpr
-	access []accessCand
+	t *table
+	dmlWhere
 }
 
 func (db *DB) buildUpdateProgram(up *UpdateStmt) (*updateProgram, error) {
@@ -1899,7 +1932,7 @@ func (db *DB) buildUpdateProgram(up *UpdateStmt) (*updateProgram, error) {
 			f:    compileExpr(cols, sc.Value),
 		})
 	}
-	p.where, p.access = compileDMLWhere(cols, up.Table, up.Where)
+	p.dmlWhere = compileDMLWhere(cols, up.Table, up.Where)
 	return p, nil
 }
 
@@ -1909,24 +1942,46 @@ func (db *DB) buildDeleteProgram(del *DeleteStmt) (*deleteProgram, error) {
 		return nil, err
 	}
 	p := &deleteProgram{t: t}
-	p.where, p.access = compileDMLWhere(tableLayout(t, del.Table), del.Table, del.Where)
+	p.dmlWhere = compileDMLWhere(tableLayout(t, del.Table), del.Table, del.Where)
 	return p, nil
+}
+
+// dmlWhere is a compiled UPDATE/DELETE predicate (nil: every row) with its
+// sargable candidates.
+type dmlWhere struct {
+	where  compiledExpr
+	access []accessCand
+	// params is the highest parameter ordinal the predicate reads.
+	params int
 }
 
 // compileDMLWhere compiles an UPDATE/DELETE predicate and its sargable
 // candidates. A WHERE with an unresolvable reference gets no candidates:
 // its lazy error fires on whichever row first evaluates the reference, so
 // it must visit every row in id order, as the oracle's full scan does,
-// rather than the subset an index would pick.
-func compileDMLWhere(cols []envCol, table string, where Expr) (compiledExpr, []accessCand) {
+// rather than the subset an index would pick. An unbound parameter is the
+// same case, decided per execution (candidates).
+func compileDMLWhere(cols []envCol, table string, where Expr) dmlWhere {
 	if where == nil {
-		return nil, nil
+		return dmlWhere{}
 	}
-	var access []accessCand
+	w := dmlWhere{where: compileExpr(cols, where), params: maxParam(where)}
 	if resolvable(cols, where) {
-		access = buildAccessCands(strings.ToLower(table), where)
+		w.access = buildAccessCands(strings.ToLower(table), where)
 	}
-	return compileExpr(cols, where), access
+	return w
+}
+
+// maxParam returns the highest parameter ordinal x reads (0 for none).
+func maxParam(x Expr) int {
+	n := 0
+	anyExpr(x, func(e Expr) bool {
+		if p, ok := e.(*Param); ok {
+			n = max(n, p.Ordinal)
+		}
+		return false
+	})
+	return n
 }
 
 // tableLayout builds the single-table column layout used by DML predicates.
@@ -1939,14 +1994,25 @@ func tableLayout(t *table, name string) []envCol {
 	return cols
 }
 
-// dmlCandidates returns the row ids a compiled DML statement must visit,
+// candidates returns the row ids a compiled DML statement must visit,
 // using the same staged access planner as compiled SELECTs. The returned
 // slice is a private copy: the statement body mutates rows and index
 // postings, and the planner's id slices may alias live index storage. A nil
-// slice with all=true means no sargable candidate matched and the caller
-// scans the whole table. The caller holds t.mu for writing.
-func dmlCandidates(t *table, access []accessCand, params []Value) (ids []int, all bool) {
-	path := planAccessLocked(t, access, params, false)
+// slice with all=true means the caller scans the whole table: no sargable
+// candidate matched, or a parameter the predicate reads is unbound, whose
+// error must fire on the row where the oracle's full scan raises it
+// instead of being skipped by a narrower index pick. The caller holds t.mu
+// for writing.
+func (w *dmlWhere) candidates(t *table, params []Value) (ids []int, all bool) {
+	if w.params > len(params) {
+		return nil, true
+	}
+	for _, v := range params[:w.params] {
+		if v.T == missingParamType {
+			return nil, true
+		}
+	}
+	path := planAccessLocked(t, w.access, params, false)
 	if path.all {
 		return nil, true
 	}
@@ -1993,7 +2059,7 @@ func (db *DB) runUpdateProgram(p *updateProgram, params []Value) (*Result, error
 		n++
 		return nil
 	}
-	if ids, all := dmlCandidates(t, p.access, params); !all {
+	if ids, all := p.candidates(t, params); !all {
 		for _, id := range ids {
 			if err := apply(id); err != nil {
 				return nil, err
@@ -2035,7 +2101,7 @@ func (db *DB) runDeleteProgram(p *deleteProgram, params []Value) (*Result, error
 		n++
 		return nil
 	}
-	if ids, all := dmlCandidates(t, p.access, params); !all {
+	if ids, all := p.candidates(t, params); !all {
 		for _, id := range ids {
 			if err := apply(id); err != nil {
 				return nil, err

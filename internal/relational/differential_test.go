@@ -262,6 +262,17 @@ func TestDifferentialFormerlyRefusedShapes(t *testing.T) {
 		`SELECT DISTINCT j.city FROM jobs j ORDER BY j.city`,
 		`SELECT DISTINCT city AS c FROM jobs ORDER BY c`,
 		`SELECT DISTINCT * FROM companies ORDER BY size, id`,
+		// Error precedence of the fused scan: the oracle filters every
+		// row, then projects the survivors, then evaluates ORDER BY keys
+		// one key at a time, so a WHERE error on a later row beats a
+		// projection error on an earlier one, and so on down.
+		`SELECT nope FROM jobs WHERE id = 0 OR nope2 = 1`,
+		`SELECT DISTINCT nope FROM jobs WHERE id = 0 OR nope2 = 1`,
+		`SELECT nope FROM jobs WHERE id = 0 OR nope2 = 1 ORDER BY id`,
+		`SELECT id FROM jobs WHERE id = 0 OR nope2 = 1 ORDER BY nope`,
+		`SELECT id FROM jobs WHERE id = 0 OR nope2 = 1 ORDER BY nope LIMIT 1`,
+		`SELECT id, id < 3 OR nope = 1 FROM jobs ORDER BY nope2`,
+		`SELECT id FROM jobs ORDER BY id < 3 OR nope = 1, nope2`,
 	}
 	const distinctErr = `relational: for SELECT DISTINCT, ORDER BY key "salary" must appear in the select list`
 	for _, fx := range fixtures {
@@ -295,6 +306,12 @@ func TestDifferentialFormerlyRefusedShapes(t *testing.T) {
 				`DELETE FROM jobs WHERE city = 'Oakland' AND nope = 1`,
 				`DELETE FROM jobs WHERE salary > 100000 OR nope = 1`,
 				`DELETE FROM missing`,
+				// An unbound parameter in a WHERE whose indexed conjunct
+				// selects no row: the oracle's full scan raises it.
+				`DELETE FROM jobs WHERE title = ? AND city = 'Nowhere'`,
+				`DELETE FROM jobs WHERE city = 'Nowhere' AND title = ?`,
+				`UPDATE jobs SET salary = 1 WHERE title = ? AND city = 'Nowhere'`,
+				`UPDATE jobs SET salary = ? WHERE city = 'Nowhere'`,
 				`INSERT INTO jobs VALUES (nope, 'x', 'y', 1, 2, TRUE)`,
 			} {
 				compiled, oracle := fx.db(t), fx.db(t)

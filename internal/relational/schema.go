@@ -277,15 +277,6 @@ func (t *table) info() TableInfo {
 	return ti
 }
 
-// Insert appends a row, coercing value count and types against the schema.
-func (db *DB) Insert(name string, row Row) error {
-	t, err := db.table(name)
-	if err != nil {
-		return err
-	}
-	return t.insert(row)
-}
-
 func (t *table) insert(row Row) error {
 	if len(row) != len(t.schema.Columns) {
 		return fmt.Errorf("%w: got %d values for %d columns", ErrArity, len(row), len(t.schema.Columns))

@@ -243,10 +243,3 @@ func (v Value) Key() string {
 
 // Row is a tuple of values.
 type Row []Value
-
-// CloneRow returns a copy of the row.
-func CloneRow(r Row) Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}

@@ -323,14 +323,6 @@ func (g *Governor) Saturated() bool {
 	return g.inflight >= g.cfg.MaxConcurrent && g.queue.Len() > 0
 }
 
-// RetryAfter is the advisory backoff for shed responses. Safe on nil.
-func (g *Governor) RetryAfter() time.Duration {
-	if g == nil {
-		return time.Second
-	}
-	return g.cfg.RetryAfter
-}
-
 // CountDegraded counts one stale-memo degraded answer (kept here so the
 // governor owns the full admitted/shed/degraded ledger the A11 experiment
 // reads). Safe on nil.

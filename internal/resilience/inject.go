@@ -51,7 +51,7 @@ const (
 	// processor call — an injected error surfaces exactly like a failing
 	// agent (AGENT_ERROR report, retry/breaker/replan machinery engages).
 	SiteAgent Site = "agent.process"
-	// SiteRelational fires at the top of DB.QueryContext/ExecContext.
+	// SiteRelational fires at the top of DB.QueryContext.
 	SiteRelational Site = "relational.exec"
 	// SiteDurability fires in the WAL append path.
 	SiteDurability Site = "durability.append"

@@ -8,18 +8,24 @@ import (
 	"io"
 )
 
-// Durability on the shared engine: the store's original stand-alone JSON
-// WAL (Options.WALPath, one file per store) is migrated onto the
-// durability engine's segmented, CRC-framed log — the record bodies stay
-// the same JSON documents (walRecord), but framing, rotation, group
-// commit, snapshots and truncation are the engine's, and one DataDir holds
-// every subsystem. The legacy single-file mode keeps working for
-// applications that only want stream persistence.
+// Durability on the shared engine: every stream creation and append is
+// one JSON document (logRecord) in the durability engine's segmented,
+// CRC-framed log, which owns framing, rotation, group commit, snapshots
+// and truncation; one DataDir holds every subsystem. It is the store's
+// only persistence path.
 //
 // Replay is idempotent: append records carry their assigned Seq, so a
 // record whose message is already present (because the snapshot covered
 // it) is skipped — which is what lets the store log with a plain
 // asynchronous Append instead of the engine's snapshot-atomic Log path.
+
+// logRecord is one logged mutation, and one line of a snapshot.
+type logRecord struct {
+	// Type is "create" for stream creation or "append" for a message.
+	Type   string      `json:"t"`
+	Stream *StreamInfo `json:"stream,omitempty"`
+	Msg    *Message    `json:"msg,omitempty"`
+}
 
 // SetDurable attaches the shared-engine sink. Attach before serving
 // traffic; CreateStream and Append then log every mutation through it.
@@ -30,21 +36,21 @@ func (s *Store) SetDurable(log func(payload []byte) error) {
 }
 
 // logRecordLocked marshals and appends one record; caller holds s.mu.
-func (s *Store) logRecordLocked(rec walRecord) error {
+func (s *Store) logRecordLocked(rec logRecord) error {
 	if s.sink == nil {
 		return nil
 	}
 	b, err := json.Marshal(rec)
 	if err != nil {
-		return fmt.Errorf("streams: encode wal record: %w", err)
+		return fmt.Errorf("streams: encode log record: %w", err)
 	}
 	return s.sink(b)
 }
 
-// applyRecordLocked loads one WAL record into the store, idempotently;
-// caller holds s.mu. Shared by legacy WAL recovery, engine replay (Apply)
-// and snapshot load (Restore).
-func (s *Store) applyRecordLocked(rec walRecord) {
+// applyRecordLocked loads one log record into the store, idempotently;
+// caller holds s.mu. Shared by engine replay (Apply) and snapshot load
+// (Restore).
+func (s *Store) applyRecordLocked(rec logRecord) {
 	switch rec.Type {
 	case "create":
 		if rec.Stream == nil {
@@ -102,9 +108,9 @@ func (s *Store) applyRecordLocked(rec walRecord) {
 
 // Apply replays one engine log record. It implements durability.Loggable.
 func (s *Store) Apply(rec []byte) error {
-	var r walRecord
+	var r logRecord
 	if err := json.Unmarshal(rec, &r); err != nil {
-		return fmt.Errorf("streams: decode wal record: %w", err)
+		return fmt.Errorf("streams: decode log record: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -122,11 +128,11 @@ func (s *Store) Snapshot(w io.Writer) error {
 	for _, id := range s.order {
 		st := s.streams[id]
 		info := st.info
-		if err := enc.Encode(walRecord{Type: "create", Stream: &info}); err != nil {
+		if err := enc.Encode(logRecord{Type: "create", Stream: &info}); err != nil {
 			return err
 		}
 		for i := range st.msgs {
-			if err := enc.Encode(walRecord{Type: "append", Msg: &st.msgs[i]}); err != nil {
+			if err := enc.Encode(logRecord{Type: "append", Msg: &st.msgs[i]}); err != nil {
 				return err
 			}
 		}
@@ -141,7 +147,7 @@ func (s *Store) Restore(r io.Reader) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		var rec walRecord
+		var rec logRecord
 		if err := dec.Decode(&rec); err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil

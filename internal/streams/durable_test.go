@@ -50,6 +50,52 @@ func payloadI(m Message) string {
 	return fmt.Sprint(p["i"])
 }
 
+// TestWALPersistRecover restarts a store over its write-ahead log and checks
+// that stream metadata, payloads and directives come back, and that new
+// appends continue the recovered logical clock and sequence numbers.
+func TestWALPersistRecover(t *testing.T) {
+	dir := t.TempDir()
+	s, eng := openDurableStore(t, dir)
+	mustCreate(t, s, "conv", StreamInfo{Session: "s:9", Creator: "ui", Tags: []string{"conversation"}})
+	mustAppend(t, s, Message{Stream: "conv", Kind: Data, Sender: "user", Payload: "I am looking for a data scientist position"})
+	mustAppend(t, s, Message{Stream: "conv", Kind: Control, Sender: "ic", Directive: &Directive{Op: OpExecuteAgent, Agent: "nl2q"}})
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	s2, eng2 := openDurableStore(t, dir)
+	defer eng2.Close()
+	defer s2.Close()
+	info, err := s2.Info("conv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Session != "s:9" || info.Creator != "ui" || len(info.Tags) != 1 || info.Tags[0] != "conversation" || info.Len != 2 {
+		t.Fatalf("recovered info = %+v", info)
+	}
+	msgs, err := s2.ReadAll("conv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msgs[0].PayloadString() != "I am looking for a data scientist position" {
+		t.Fatalf("recovered payload = %q", msgs[0].PayloadString())
+	}
+	if d := msgs[1].Directive; d == nil || d.Op != OpExecuteAgent || d.Agent != "nl2q" {
+		t.Fatalf("recovered directive = %+v", msgs[1].Directive)
+	}
+	m := mustAppend(t, s2, Message{Stream: "conv", Payload: "more"})
+	if m.TS <= msgs[1].TS {
+		t.Fatalf("clock did not resume: new TS %d <= old %d", m.TS, msgs[1].TS)
+	}
+	if m.Seq != 2 {
+		t.Fatalf("seq after recovery = %d, want 2", m.Seq)
+	}
+}
+
+// TestEngineReplayRecoversStreams restarts a store over its engine log and
+// checks that payloads, EOS state, the logical clock and message ids all
+// come back.
 func TestEngineReplayRecoversStreams(t *testing.T) {
 	dir := t.TempDir()
 	s, eng := openDurableStore(t, dir)
@@ -83,18 +129,30 @@ func TestEngineReplayRecoversStreams(t *testing.T) {
 			t.Fatalf("message %d payload = %v", i, payloadI(m))
 		}
 	}
-	info, err := s2.Info("done-stream")
+	done, err := s2.Info("done-stream")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Closed {
+	if !done.Closed {
 		t.Fatal("EOS state lost across recovery")
 	}
-	// The logical clock and message ids must continue past the recovered
-	// history — no reused ids.
+	// The logical clock, sequence numbers and message ids must continue
+	// past the recovered history: no reused timestamps or ids.
+	history := s2.History("")
+	last := history[len(history)-1]
+	seen := map[string]bool{}
+	for _, m := range history {
+		seen[m.ID] = true
+	}
 	m, err := s2.Publish(Message{Stream: "chat", Sender: "tester", Payload: map[string]any{"i": 20}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if m.TS <= last.TS {
+		t.Fatalf("clock did not resume: new TS %d <= last recovered %d", m.TS, last.TS)
+	}
+	if seen[m.ID] {
+		t.Fatalf("message id %s reused after recovery", m.ID)
 	}
 	if m.Seq != 20 {
 		t.Fatalf("post-recovery Seq = %d, want 20", m.Seq)
@@ -128,64 +186,6 @@ func TestEngineSnapshotPlusTailReplay(t *testing.T) {
 		if m.Seq != int64(i) {
 			t.Fatalf("message %d has Seq %d after snapshot+replay (duplicate or gap)", i, m.Seq)
 		}
-	}
-}
-
-// TestLegacyWALTornTailTruncated is the regression test for the legacy
-// JSON WAL crash-safety fix: garbage after the last valid record must be
-// truncated at recovery, so records appended by the next run stay
-// reachable to every later recovery. Without the truncation, run 3 would
-// lose everything run 2 wrote.
-func TestLegacyWALTornTailTruncated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.wal")
-
-	// Run 1: write two messages, then crash mid-record.
-	s, err := Open(Options{WALPath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	publishN(t, s, "chat", 2)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"t":"append","msg":{"stream":"chat","pa`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	// Run 2: recovers the two messages, truncates the torn tail, appends
-	// a third.
-	s2, err := Open(Options{WALPath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msgs, _ := s2.ReadAll("chat"); len(msgs) != 2 {
-		t.Fatalf("run 2 recovered %d messages, want 2", len(msgs))
-	}
-	if _, err := s2.Publish(Message{Stream: "chat", Sender: "tester", Payload: map[string]any{"i": 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Run 3: all three messages must be there — the third must not be
-	// hidden behind leftover garbage.
-	s3, err := Open(Options{WALPath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	msgs, err := s3.ReadAll("chat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msgs) != 3 {
-		t.Fatalf("run 3 recovered %d messages, want 3 (torn tail not truncated?)", len(msgs))
 	}
 }
 

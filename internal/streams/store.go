@@ -40,8 +40,9 @@ type stream struct {
 }
 
 // Store is an embedded streams database: it owns every stream, delivers
-// messages to subscribers, tracks statistics and optionally persists to a
-// write-ahead log. All methods are safe for concurrent use.
+// messages to subscribers, tracks statistics and optionally logs every
+// mutation to the shared durability engine (SetDurable). All methods are
+// safe for concurrent use.
 type Store struct {
 	mu      sync.RWMutex
 	streams map[string]*stream
@@ -52,19 +53,11 @@ type Store struct {
 	nextMsg atomic.Int64
 	closed  bool
 
-	// wal is the legacy stand-alone JSON WAL (Options.WALPath); sink is
-	// the shared durability engine's append (SetDurable). At most one is
-	// set in practice.
-	wal  *walWriter
+	// sink is the shared durability engine's append (SetDurable); nil
+	// keeps the store in memory only.
 	sink func(payload []byte) error
 
 	stats Stats
-}
-
-// Options configure a Store.
-type Options struct {
-	// WALPath enables write-ahead-log persistence to the given file.
-	WALPath string
 }
 
 // NewStore creates an empty streams database.
@@ -75,26 +68,9 @@ func NewStore() *Store {
 	}
 }
 
-// Open creates a Store with the given options, replaying an existing WAL
-// file if one is present at opts.WALPath.
-func Open(opts Options) (*Store, error) {
-	s := NewStore()
-	if opts.WALPath != "" {
-		if err := s.recover(opts.WALPath); err != nil {
-			return nil, err
-		}
-		w, err := newWALWriter(opts.WALPath)
-		if err != nil {
-			return nil, err
-		}
-		s.wal = w
-	}
-	return s, nil
-}
-
-// Close shuts the store down: all subscriptions are cancelled and the WAL,
-// if any, is flushed and closed. Appends after Close fail with
-// ErrStoreClosed.
+// Close shuts the store down: all subscriptions are cancelled. Appends
+// after Close fail with ErrStoreClosed. The durability engine, if one is
+// attached, is closed by its owner.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -107,15 +83,10 @@ func (s *Store) Close() error {
 		subs = append(subs, sub)
 	}
 	s.subs = make(map[int64]*Subscription)
-	wal := s.wal
-	s.wal = nil
 	s.mu.Unlock()
 
 	for _, sub := range subs {
 		sub.stop()
-	}
-	if wal != nil {
-		return wal.Close()
 	}
 	return nil
 }
@@ -139,12 +110,7 @@ func (s *Store) CreateStream(id string, info StreamInfo) (StreamInfo, error) {
 	s.streams[id] = st
 	s.order = append(s.order, id)
 	s.stats.StreamsCreated++
-	if s.wal != nil {
-		if err := s.wal.writeCreate(info); err != nil {
-			return StreamInfo{}, err
-		}
-	}
-	if err := s.logRecordLocked(walRecord{Type: "create", Stream: &info}); err != nil {
+	if err := s.logRecordLocked(logRecord{Type: "create", Stream: &info}); err != nil {
 		return StreamInfo{}, err
 	}
 	return info, nil
@@ -230,17 +196,11 @@ func (s *Store) Append(msg Message) (Message, error) {
 			targets = append(targets, sub)
 		}
 	}
-	var walErr error
-	if s.wal != nil {
-		walErr = s.wal.writeAppend(msg)
-	}
-	if walErr == nil {
-		walErr = s.logRecordLocked(walRecord{Type: "append", Msg: &msg})
-	}
+	logErr := s.logRecordLocked(logRecord{Type: "append", Msg: &msg})
 	s.mu.Unlock()
 
-	if walErr != nil {
-		return Message{}, walErr
+	if logErr != nil {
+		return Message{}, logErr
 	}
 	for _, sub := range targets {
 		sub.enqueue(msg)

@@ -14,7 +14,7 @@ var (
 // registerInstruments bridges the pre-existing hand-rolled subsystem stats
 // (memo store, relational statement cache, durability engine, session
 // manager) into the process-global registry as func-backed instruments:
-// /metrics and /stats read one registry instead of assembling ad-hoc maps,
+// /metrics reads one registry instead of assembling ad-hoc maps,
 // and the subsystem structs stay the single source of truth. Func-backed
 // registration is last-wins, so the most recently constructed System feeds
 // the bridges (relevant only to test processes building several Systems).

@@ -96,14 +96,7 @@ func New(cfg Config) (*System, error) {
 	}
 	model := llm.New(cfg.modelConfig(), ent.KB)
 
-	walPath := cfg.WALPath
-	if cfg.DataDir != "" {
-		walPath = "" // the shared durability engine persists streams
-	}
-	store, err := streams.Open(streams.Options{WALPath: walPath})
-	if err != nil {
-		return nil, err
-	}
+	store := streams.NewStore()
 	dataReg := registry.NewDataRegistry()
 	suite, err := hragents.NewSuite(ent, model, dataReg)
 	if err != nil {
@@ -271,7 +264,7 @@ func New(cfg Config) (*System, error) {
 // MemoStats reports the step-result memoization counters: hits, misses,
 // evictions, invalidations, dedup-coalesced requests, resident entries and
 // the saved cost/latency. Zero when memoization is disabled. blueprintd
-// serves it at GET /memo and folds the hit rate into /stats.
+// exports the counters at GET /metrics; `bpctl memo` prints all of it.
 func (s *System) MemoStats() memo.Stats {
 	return s.Memo.Stats()
 }
@@ -279,31 +272,25 @@ func (s *System) MemoStats() memo.Stats {
 // Close shuts the system down gracefully: all sessions, then — when
 // durability is on — a final snapshot and a clean log close, so the next
 // open restores instead of replaying. Then the stream store.
-func (s *System) Close() {
-	for _, id := range s.Sessions.List() {
-		if sess, err := s.Sessions.Get(id); err == nil {
-			sess.Close()
-		}
-	}
-	if s.Durability != nil {
-		_ = s.Durability.Snapshot()
-		_ = s.Durability.Close()
-	}
-	_ = s.Store.Close()
-}
+func (s *System) Close() { s.stop(true) }
 
 // SimulateCrash stops the system without the final snapshot, as if the
 // process died: the WAL is flushed (so tests and experiments are
 // deterministic) but no snapshot boundary is written, forcing the next
 // open onto the full replay path. Test/benchmark seam for the recovery
 // scenarios (benchharness -fig A8, the crash-recovery property tests).
-func (s *System) SimulateCrash() {
+func (s *System) SimulateCrash() { s.stop(false) }
+
+func (s *System) stop(snapshot bool) {
 	for _, id := range s.Sessions.List() {
 		if sess, err := s.Sessions.Get(id); err == nil {
 			sess.Close()
 		}
 	}
 	if s.Durability != nil {
+		if snapshot {
+			_ = s.Durability.Snapshot()
+		}
 		_ = s.Durability.Close()
 	}
 	_ = s.Store.Close()
@@ -332,16 +319,10 @@ func (s *System) DurabilityStats() durability.Stats {
 // GovernorStats reports the overload governor's admission ledger (zeros
 // when admission control is disabled): admitted, shed (with the tenant and
 // queue-timeout breakdowns), in-flight, queued and the in-flight peak.
-// blueprintd folds it into /stats; bpctl top renders it as the resilience
-// line.
+// blueprintd exports the same ledger as the blueprint_governor_* series of
+// GET /metrics, which bpctl top renders as the resilience line.
 func (s *System) GovernorStats() resilience.GovernorStats {
 	return s.Governor.Stats()
-}
-
-// BreakerStates snapshots every per-agent circuit breaker's state (nil when
-// breakers are disabled or no agent has been dispatched yet).
-func (s *System) BreakerStates() map[string]resilience.State {
-	return s.Breakers.States()
 }
 
 // StandardAgents is the agent set spawned into every new session.
